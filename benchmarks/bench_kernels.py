@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
-"""Benchmark the graph kernels: numba-compiled vs pure-Python fallback.
+"""Benchmark the graph kernels: centralities, components and label propagation.
 
-Run without arguments: times the compiled path, then re-executes itself with
-MPALIGN_DISABLE_NUMBA=1 to time the fallback, and prints the speedups.
+Times each kernel (best of 3) on 60 random graphs of 72 nodes, then the
+centralities and label propagation of one paper-scale sentence graph
+(84 languages x 25 tokens, n = 2,100). Prints a table, or one JSON object
+with ``--json``.
 """
 
 import json
-import os
-import subprocess
+import resource
 import sys
 import time
 
 import numpy as np
 
-from mpalign import kernels
+from mpalign import kernels, synth
 from mpalign.communities import lpc
-from mpalign.graph import AlignmentGraph
+from mpalign.graph import AlignmentGraph, build_graph
 
 
 def make_graphs(n_graphs=60, n_languages=8, tokens_per_lang=9, seed=0):
@@ -37,6 +38,18 @@ def make_graphs(n_graphs=60, n_languages=8, tokens_per_lang=9, seed=0):
     return graphs
 
 
+def paper_scale_graph(n_languages=84, tokens=25, seed=7):
+    """One synthetic sentence aligned across every pair of 84 languages."""
+    res = synth.generate(
+        synth.SynthConfig(
+            n_sentences=1, n_languages=n_languages, vocab=40, len_min=tokens,
+            len_max=tokens, edge_drop_rate=0.3, edge_noise_rate=0.05, seed=seed,
+        )
+    )
+    sid = res.corpus.sentence_ids()[0]
+    return build_graph(sid, res.corpus.sentences[sid], list(res.alignments.values()))
+
+
 def bench(fn, repeats=3):
     best = float("inf")
     for _ in range(repeats):
@@ -48,7 +61,6 @@ def bench(fn, repeats=3):
 
 def run_suite():
     graphs = make_graphs()
-    kernels.warmup()
 
     def centrality_pass():
         for g in graphs:
@@ -62,35 +74,34 @@ def run_suite():
         for i, g in enumerate(graphs):
             lpc(g, seed=i)
 
-    return {
-        "numba": kernels.HAVE_NUMBA,
+    results = {
         "centralities_s": bench(centrality_pass),
         "components_s": bench(component_pass),
         "label_propagation_s": bench(lpc_pass),
     }
+    big = paper_scale_graph()
+    results["paper_graph_nodes"] = big.n
+    results["paper_graph_edges"] = big.m
+    results["paper_centralities_s"] = bench(
+        lambda: kernels.centrality_bundle(big.indptr, big.indices, big.n), repeats=1
+    )
+    results["paper_label_propagation_s"] = bench(lambda: lpc(big, seed=0), repeats=1)
+    results["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return results
 
 
 def main():
     results = run_suite()
-    mode = "numba" if results["numba"] else "pure-python/numpy fallback"
-    print(f"kernel timings ({mode}, best of 3, {60} graphs of 72 nodes):")
+    print(f"kernel timings (best of 3, {60} graphs of 72 nodes):")
     for key in ("centralities_s", "components_s", "label_propagation_s"):
         print(f"  {key[:-2]:>20}: {results[key] * 1000:9.2f} ms")
-
-    if results["numba"] and "--no-fallback" not in sys.argv:
-        env = dict(os.environ, MPALIGN_DISABLE_NUMBA="1")
-        proc = subprocess.run(
-            [sys.executable, __file__, "--json"],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        fallback = json.loads(proc.stdout)
-        print("fallback timings (MPALIGN_DISABLE_NUMBA=1):")
-        for key in ("centralities_s", "components_s", "label_propagation_s"):
-            speedup = fallback[key] / results[key]
-            print(
-                f"  {key[:-2]:>20}: {fallback[key] * 1000:9.2f} ms "
-                f"(numba speedup {speedup:6.1f}x)"
-            )
+    print(
+        f"paper-scale graph (n={results['paper_graph_nodes']}, "
+        f"m={results['paper_graph_edges']}, one run):"
+    )
+    for key in ("paper_centralities_s", "paper_label_propagation_s"):
+        print(f"  {key[6:-2]:>20}: {results[key] * 1000:9.2f} ms")
+    print(f"  {'peak RSS':>20}: {results['peak_rss_mb']:9.1f} MB")
 
 
 if __name__ == "__main__":

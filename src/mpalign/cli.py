@@ -67,7 +67,6 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
                    help="reuse the same negative samples in every epoch")
     p.add_argument("--standardize", choices=("global", "per-graph"), default="global")
     p.add_argument("--train-ids", help="file with one training sentence id per line")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def _add_align_args(p: argparse.ArgumentParser) -> None:
@@ -118,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_arg(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--train-ids")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--word-tsv", action="store_true",
                    help="also dump word vectors as lang word v1..v100")
     p.set_defaults(func=cmd_features)
@@ -136,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_align_args(p)
     p.add_argument("--model", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--standardize", choices=("global", "per-graph"), default="global")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_align)
@@ -227,13 +224,13 @@ def cmd_communities(args) -> int:
 
 def cmd_features(args) -> int:
     corpus, asets = pl.load_inputs(args.data, one_based=args.one_based)
-    graphs = pl.build_all_graphs(corpus, asets, threads=args.threads)
+    graphs = pl.build_all_graphs(corpus, asets)
     ids = (
         [s for s in pl.read_id_file(args.train_ids) if s in graphs]
         if args.train_ids
         else sorted(graphs)
     )
-    raw = pl.compute_centralities(graphs, ids, args.threads)
+    raw = pl.compute_centralities(graphs, ids)
     standardizer = FeatureStandardizer.fit([raw[sid] for sid in ids])
     vocab = build_word_vocab(corpus, ids)
     table = train_word_embeddings(corpus, vocab, sentence_ids=ids)
@@ -280,10 +277,9 @@ def cmd_train(args) -> int:
         ablate=tuple(args.ablate),
         resample_negatives=not args.fixed_negatives,
         standardize=args.standardize,
-        threads=args.threads,
     )
     corpus, asets = pl.load_inputs(args.data, one_based=args.one_based)
-    graphs = pl.build_all_graphs(corpus, asets, threads=args.threads)
+    graphs = pl.build_all_graphs(corpus, asets)
     ids = (
         [s for s in pl.read_id_file(args.train_ids) if s in graphs]
         if args.train_ids
@@ -305,11 +301,10 @@ def cmd_align(args) -> int:
         threshold_on=args.threshold_on,
         seed=args.seed,
         standardize=args.standardize,
-        threads=args.threads,
         test_ids=args.test_ids,
     )
     corpus, asets = pl.load_inputs(args.data, one_based=args.one_based)
-    graphs = pl.build_all_graphs(corpus, asets, threads=args.threads)
+    graphs = pl.build_all_graphs(corpus, asets)
     ids = (
         [s for s in pl.read_id_file(args.test_ids) if s in graphs]
         if args.test_ids
@@ -415,7 +410,6 @@ def cmd_pipeline(args) -> int:
         ablate=tuple(args.ablate),
         resample_negatives=not args.fixed_negatives,
         standardize=args.standardize,
-        threads=args.threads,
         eval_bins=args.eval_bins,
     )
     artifacts = pl.run_pipeline(cfg)

@@ -138,13 +138,15 @@ def lpc(
         return Partition.from_labels(labels)
     rng = np.random.default_rng(seed)
     size = max(1, math.ceil(portion * g.n))
+    linked = g.degrees > 0
     for _ in range(max_iters):
-        if kernels.label_propagation_stable(g.indptr, g.indices, labels):
+        mode, mode_count, own_count = kernels.label_modes(g.indptr, g.indices, labels)
+        # stable: every non-isolated node's label is a mode of its neighborhood
+        if np.array_equal(own_count[linked], mode_count[linked]):
             break
         subset = rng.choice(g.n, size=size, replace=False)
-        labels = kernels.label_propagation_update(
-            g.indptr, g.indices, labels, subset.astype(np.int64)
-        )
+        subset = subset[linked[subset]]
+        labels[subset] = mode[subset]  # synchronous: modes come from the old labels
     return Partition.from_labels(labels)
 
 

@@ -8,7 +8,6 @@ stage and reuses the artifacts byte-for-byte.
 import hashlib
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -70,7 +69,6 @@ class PipelineConfig:
     lpc_portion: float = 0.5
     lpc_max_iters: int = 100
     standardize: str = "global"  # or "per-graph"
-    threads: int = 1
     eval_bins: int = 0
 
     @classmethod
@@ -150,19 +148,11 @@ def load_inputs(
 def build_all_graphs(
     corpus: MultiParallelCorpus,
     alignments: Sequence[BilingualAlignmentSet],
-    threads: int = 1,
 ) -> dict[str, AlignmentGraph]:
-    ids = corpus.sentence_ids()
-
-    def one(sid: str) -> AlignmentGraph:
-        return build_graph(sid, corpus.sentences[sid], alignments)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            graphs = list(pool.map(one, ids))
-    else:
-        graphs = [one(sid) for sid in ids]
-    return dict(zip(ids, graphs))
+    return {
+        sid: build_graph(sid, corpus.sentences[sid], alignments)
+        for sid in corpus.sentence_ids()
+    }
 
 
 def read_id_file(path: str | Path) -> list[str]:
@@ -216,8 +206,8 @@ def featurize_ids(
     cfg: PipelineConfig,
     raw_cent: Mapping[str, np.ndarray] | None = None,
 ) -> list[SentenceFeatures]:
-    def one(sid: str) -> SentenceFeatures:
-        return featurize(
+    return [
+        featurize(
             graphs[sid],
             standardizer,
             lang_index,
@@ -230,25 +220,14 @@ def featurize_ids(
             lpc_max_iters=cfg.lpc_max_iters,
             per_graph_scaling=cfg.standardize == "per-graph",
         )
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(one, ids))
-    return [one(sid) for sid in ids]
+        for sid in ids
+    ]
 
 
 def compute_centralities(
-    graphs: Mapping[str, AlignmentGraph], ids: Sequence[str], threads: int = 1
+    graphs: Mapping[str, AlignmentGraph], ids: Sequence[str]
 ) -> dict[str, np.ndarray]:
-    def one(sid: str) -> np.ndarray:
-        return centralities(graphs[sid])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            mats = list(pool.map(one, ids))
-    else:
-        mats = [one(sid) for sid in ids]
-    return dict(zip(ids, mats))
+    return {sid: centralities(graphs[sid]) for sid in ids}
 
 
 def write_communities_tsv(
@@ -309,7 +288,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
 
     try:
         corpus, asets = load_inputs(cfg.data_dir, one_based=cfg.one_based)
-        graphs = build_all_graphs(corpus, asets, threads=cfg.threads)
+        graphs = build_all_graphs(corpus, asets)
     except Exception as exc:  # noqa: BLE001 - stage boundary
         raise StageError("build-graph", exc) from exc
 
@@ -472,7 +451,7 @@ def features_stage(
     word_dim: int,
 ) -> tuple[FeatureStandardizer, dict, np.ndarray]:
     train_graphs = {sid: graphs[sid] for sid in train_ids}
-    raw_cent = compute_centralities(train_graphs, train_ids, cfg.threads)
+    raw_cent = compute_centralities(train_graphs, train_ids)
     standardizer = FeatureStandardizer.fit([raw_cent[sid] for sid in train_ids])
     vocab = build_word_vocab(corpus, train_ids)
     word_table = train_word_embeddings(

