@@ -21,7 +21,7 @@ from .evaluation import EvalReport, community_alignment_eval, frequency_bins, sc
 from .features import FeatureConfig, FeatureStandardizer, centralities, featurize
 from .gnn import TrainConfig, gradient_check, train_model
 from .graph import AlignmentGraph, TokenNode, build_graph, connected_components
-from .inference import gdfa, score_matrix, tgdfa, tgdfa_plus_orig, threshold_directional
+from .inference import gdfa, score_matrix, tgdfa, threshold_directional
 from .projection import ProjectedSentence, direct_transfer, filter_x, project
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "score",
     "score_matrix",
     "tgdfa",
-    "tgdfa_plus_orig",
     "threshold_directional",
     "train_model",
     "write_pharaoh",

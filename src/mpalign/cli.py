@@ -12,11 +12,7 @@ from pathlib import Path
 from . import pipeline as pl
 from .corpus import load_gold, load_pharaoh, load_pos_tagged
 from .evaluation import frequency_bins, score
-from .features import (
-    FeatureStandardizer,
-    build_word_vocab,
-    train_word_embeddings,
-)
+from .features import FeatureConfig
 from .graph import dump_graph
 from .projection import ProjectionSource, filter_x, project, write_conll
 from .synth import SynthConfig, generate, write_synth
@@ -128,13 +124,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("align", help="induce alignments with a trained model")
+    p = sub.add_parser("align", help="induce alignments with a trained model, "
+                       "featurized as the checkpoint records")
     _add_data_arg(p)
-    _add_cd_args(p)
     _add_align_args(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--standardize", choices=("global", "per-graph"), default="global")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_align)
 
@@ -209,15 +203,13 @@ def cmd_build_graph(args) -> int:
 def cmd_communities(args) -> int:
     corpus, asets = pl.load_inputs(args.data, one_based=args.one_based)
     graphs = pl.build_all_graphs(corpus, asets)
-    pl.write_communities_tsv(
-        graphs,
-        args.algorithm,
-        Path(args.out),
+    config = FeatureConfig(
         gamma=args.gamma,
-        seed=args.seed,
-        portion=args.lpc_portion,
-        max_iters=args.lpc_max_iters,
+        lpc_seed=args.seed,
+        lpc_portion=args.lpc_portion,
+        lpc_max_iters=args.lpc_max_iters,
     )
+    pl.write_communities_tsv(graphs, args.algorithm, Path(args.out), config)
     print(f"wrote {args.algorithm} communities for {len(graphs)} sentences to {args.out}")
     return 0
 
@@ -230,10 +222,9 @@ def cmd_features(args) -> int:
         if args.train_ids
         else sorted(graphs)
     )
-    raw = pl.compute_centralities(graphs, ids)
-    standardizer = FeatureStandardizer.fit([raw[sid] for sid in ids])
-    vocab = build_word_vocab(corpus, ids)
-    table = train_word_embeddings(corpus, vocab, sentence_ids=ids)
+    standardizer, vocab, table = pl.features_stage(
+        corpus, graphs, ids, FeatureConfig().word_dim
+    )
     out = Path(args.out)
     pl.write_feature_artifacts(out, standardizer, vocab, table)
     if args.word_tsv:
@@ -251,9 +242,6 @@ def _pipeline_config(args, **extra) -> pl.PipelineConfig:
         out_dir=extra.pop("out_dir"),
         pair=extra.pop("pair", ("", "")),
         one_based=args.one_based,
-        gamma=args.gamma,
-        lpc_portion=args.lpc_portion,
-        lpc_max_iters=args.lpc_max_iters,
         **extra,
     )
     cfg.validate()
@@ -268,6 +256,9 @@ def cmd_train(args) -> int:
         out_dir=args.out,
         pair=("", ""),
         train_ids=args.train_ids,
+        gamma=args.gamma,
+        lpc_portion=args.lpc_portion,
+        lpc_max_iters=args.lpc_max_iters,
         lr=args.lr,
         batch_size=args.batch_size,
         epochs=args.epochs,
@@ -299,8 +290,6 @@ def cmd_align(args) -> int:
         alpha=args.alpha,
         method=args.method,
         threshold_on=args.threshold_on,
-        seed=args.seed,
-        standardize=args.standardize,
         test_ids=args.test_ids,
     )
     corpus, asets = pl.load_inputs(args.data, one_based=args.one_based)
@@ -401,6 +390,9 @@ def cmd_pipeline(args) -> int:
         alpha=args.alpha,
         method=args.method,
         threshold_on=args.threshold_on,
+        gamma=args.gamma,
+        lpc_portion=args.lpc_portion,
+        lpc_max_iters=args.lpc_max_iters,
         lr=args.lr,
         batch_size=args.batch_size,
         epochs=args.epochs,

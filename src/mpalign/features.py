@@ -77,11 +77,18 @@ class FeatureConfig:
     pos_table: int = 160  # positions clamp at pos_table - 1
     comm_table: int = 257  # community ids cap at comm_table - 2, last row = overflow
     ablate: tuple[str, ...] = ()
+    gamma: float = 1.0  # GMC modularity resolution
+    lpc_seed: int = 0  # base of the per-sentence LPC seeds
+    lpc_portion: float = 0.5
+    lpc_max_iters: int = 100
+    standardize: str = "global"  # or "per-graph"
 
     def __post_init__(self):
         unknown = set(self.ablate) - set(BLOCK_WIDTHS)
         if unknown:
             raise ValueError(f"unknown ablation block(s): {sorted(unknown)}")
+        if self.standardize not in ("global", "per-graph"):
+            raise ValueError(f"unknown standardize mode {self.standardize!r}")
 
     def active(self, block: str) -> bool:
         return block not in self.ablate
@@ -269,37 +276,36 @@ def derive_seed(base: int, tag: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def partition(g: AlignmentGraph, algorithm: str, config: FeatureConfig) -> Partition:
+    """One detector's partition of ``g``, seeded per sentence for LPC."""
+    return detect(
+        g,
+        algorithm,
+        gamma=config.gamma,
+        seed=derive_seed(config.lpc_seed, f"lpc:{g.sentence_id}"),
+        portion=config.lpc_portion,
+        max_iters=config.lpc_max_iters,
+    )
+
+
 def featurize(
     g: AlignmentGraph,
     standardizer: FeatureStandardizer | None,
     lang_index: Mapping[str, int],
     vocab: Mapping[tuple[str, str], int],
     config: FeatureConfig,
-    *,
-    raw_centralities: np.ndarray | None = None,
-    gamma: float = 1.0,
-    lpc_seed_base: int = 0,
-    lpc_portion: float = 0.5,
-    lpc_max_iters: int = 100,
-    per_graph_scaling: bool = False,
 ) -> SentenceFeatures:
     """Compute every constant model input for one sentence graph."""
-    raw = centralities(g) if raw_centralities is None else raw_centralities
-    if per_graph_scaling:
+    raw = centralities(g)
+    if config.standardize == "per-graph":
         z = per_graph_standardize(raw)
     else:
         if standardizer is None:
             raise ValueError("global scaling requires a fitted standardizer")
         z = standardizer.apply(raw)
 
-    p_gmc = detect(g, "gmc", gamma=gamma)
-    p_lpc = detect(
-        g,
-        "lpc",
-        seed=derive_seed(lpc_seed_base, f"lpc:{g.sentence_id}"),
-        portion=lpc_portion,
-        max_iters=lpc_max_iters,
-    )
+    p_gmc = partition(g, "gmc", config)
+    p_lpc = partition(g, "lpc", config)
     cap = config.comm_table - 1
     unk = len(vocab)
     lang_idx = np.empty(g.n, dtype=np.int64)

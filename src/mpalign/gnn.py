@@ -145,7 +145,6 @@ def assemble(sf: SentenceFeatures, P: dict[str, Tensor], config: FeatureConfig) 
     dtype = P["gat1.W"].dtype
     blocks: list[Tensor] = []
     if config.active("centrality"):
-        z = ad.constant(sf.z_cent.astype(dtype))
         for k in range(len(CENTRALITY_NAMES)):
             zk = ad.constant(sf.z_cent[:, k : k + 1].astype(dtype))
             wk = ad.narrow(P["feat.cent_w"], k, k + 1)

@@ -153,25 +153,10 @@ def tgdfa(
     config: FeatureConfig,
     alpha: float = 2.0,
     mode: str = "logit",
+    orig_gdfa: LinkSet | None = None,
 ) -> LinkSet:
-    s = score_matrix(sf, params, lang_x, lang_y, config, mode)
-    forward = threshold_directional(s.values, alpha, "forward")
-    backward = threshold_directional(s.values, alpha, "backward")
-    m, l = s.values.shape
-    return gdfa(forward, backward, m, l)
-
-
-def tgdfa_plus_orig(
-    sf: SentenceFeatures,
-    params: dict[str, np.ndarray],
-    lang_x: str,
-    lang_y: str,
-    config: FeatureConfig,
-    orig_gdfa: LinkSet,
-    alpha: float = 2.0,
-    mode: str = "logit",
-) -> LinkSet:
-    """TGDFA with the bilingual aligner's GDFA links added to the union only."""
+    """Thresholded GDFA; ``orig_gdfa`` (the bilingual aligner's GDFA links)
+    joins the union only."""
     s = score_matrix(sf, params, lang_x, lang_y, config, mode)
     forward = threshold_directional(s.values, alpha, "forward")
     backward = threshold_directional(s.values, alpha, "backward")

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import evaluation
 from .checkpoint import load_checkpoint, save_checkpoint
-from .communities import detect
 from .corpus import (
     BilingualAlignmentSet,
     GoldAlignment,
@@ -32,13 +31,13 @@ from .features import (
     SentenceFeatures,
     build_word_vocab,
     centralities,
-    derive_seed,
     featurize,
+    partition,
     train_word_embeddings,
 )
 from .gnn import TrainConfig, train_model
 from .graph import AlignmentGraph, build_graph
-from .inference import tgdfa, tgdfa_plus_orig
+from .inference import tgdfa
 
 logger = logging.getLogger(__name__)
 
@@ -88,12 +87,21 @@ class PipelineConfig:
             raise ValueError("method tgdfa+orig requires an --orig alignment file")
         if self.threshold_on not in ("logit", "prob"):
             raise ValueError(f"unknown threshold mode {self.threshold_on!r}")
-        if self.standardize not in ("global", "per-graph"):
-            raise ValueError(f"unknown standardize mode {self.standardize!r}")
+        self.feature_config()  # raises on a bad standardize mode or ablation block
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if len(self.pair) != 2 or self.pair[0] == self.pair[1]:
             raise ValueError("pair must name two distinct languages")
+
+    def feature_config(self) -> FeatureConfig:
+        return FeatureConfig(
+            ablate=tuple(self.ablate),
+            gamma=self.gamma,
+            lpc_seed=self.seed,
+            lpc_portion=self.lpc_portion,
+            lpc_max_iters=self.lpc_max_iters,
+            standardize=self.standardize,
+        )
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
@@ -104,7 +112,7 @@ class PipelineConfig:
             train_sample=self.train_sample,
             seed=self.seed,
             resample_negatives=self.resample_negatives,
-            feature=FeatureConfig(ablate=tuple(self.ablate)),
+            feature=self.feature_config(),
         )
 
 
@@ -203,24 +211,9 @@ def featurize_ids(
     lang_index: Mapping[str, int],
     vocab: Mapping[tuple[str, str], int],
     config: FeatureConfig,
-    cfg: PipelineConfig,
-    raw_cent: Mapping[str, np.ndarray] | None = None,
 ) -> list[SentenceFeatures]:
     return [
-        featurize(
-            graphs[sid],
-            standardizer,
-            lang_index,
-            vocab,
-            config,
-            raw_centralities=None if raw_cent is None else raw_cent[sid],
-            gamma=cfg.gamma,
-            lpc_seed_base=cfg.seed,
-            lpc_portion=cfg.lpc_portion,
-            lpc_max_iters=cfg.lpc_max_iters,
-            per_graph_scaling=cfg.standardize == "per-graph",
-        )
-        for sid in ids
+        featurize(graphs[sid], standardizer, lang_index, vocab, config) for sid in ids
     ]
 
 
@@ -234,23 +227,11 @@ def write_communities_tsv(
     graphs: Mapping[str, AlignmentGraph],
     algorithm: str,
     path: Path,
-    *,
-    gamma: float,
-    seed: int,
-    portion: float,
-    max_iters: int,
+    config: FeatureConfig,
 ) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for sid in sorted(graphs):
-            g = graphs[sid]
-            p = detect(
-                g,
-                algorithm,
-                gamma=gamma,
-                seed=derive_seed(seed, f"lpc:{sid}"),
-                portion=portion,
-                max_iters=max_iters,
-            )
+            p = partition(graphs[sid], algorithm, config)
             items = " ".join(f"{v}:{c}" for v, c in enumerate(p.labels))
             fh.write(f"{sid}\t{items}\n")
 
@@ -308,15 +289,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
             logger.info("communities: cache hit")
         else:
             for algo, path in zip(("gmc", "lpc"), comm_paths):
-                write_communities_tsv(
-                    graphs,
-                    algo,
-                    path,
-                    gamma=cfg.gamma,
-                    seed=cfg.seed,
-                    portion=cfg.lpc_portion,
-                    max_iters=cfg.lpc_max_iters,
-                )
+                write_communities_tsv(graphs, algo, path, cfg.feature_config())
             write_key(comm_key, comm_paths)
         artifacts["communities_gmc"] = comm_paths[0]
         artifacts["communities_lpc"] = comm_paths[1]
@@ -343,7 +316,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
         if cache_valid(feat_key, feat_paths):
             logger.info("features: cache hit")
         else:
-            pieces = features_stage(cfg, corpus, graphs, train_ids, tc.feature.word_dim)
+            pieces = features_stage(corpus, graphs, train_ids, tc.feature.word_dim)
             write_feature_artifacts(feat_dir, *pieces)
             write_key(feat_key, feat_paths)
         artifacts["features"] = feat_dir
@@ -444,7 +417,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
 
 
 def features_stage(
-    cfg: PipelineConfig,
     corpus: MultiParallelCorpus,
     graphs: Mapping[str, AlignmentGraph],
     train_ids: Sequence[str],
@@ -502,12 +474,10 @@ def train_stage(
 ) -> None:
     tc = cfg.train_config()
     if precomputed is None:
-        precomputed = features_stage(cfg, corpus, graphs, train_ids, tc.feature.word_dim)
+        precomputed = features_stage(corpus, graphs, train_ids, tc.feature.word_dim)
     standardizer, vocab, word_table = precomputed
     lang_index = {lang: i for i, lang in enumerate(corpus.languages)}
-    feats = featurize_ids(
-        graphs, train_ids, standardizer, lang_index, vocab, tc.feature, cfg
-    )
+    feats = featurize_ids(graphs, train_ids, standardizer, lang_index, vocab, tc.feature)
     result = train_model(feats, tc, len(corpus.languages), len(vocab), word_table)
     save_checkpoint(
         model_path, result.params, standardizer, corpus.languages, vocab, tc
@@ -535,7 +505,9 @@ def align_with_model(
     params, standardizer, languages, vocab, tc = load_checkpoint(model_path)
     lang_index = {lang: i for i, lang in enumerate(languages)}
     orig = (
-        load_pharaoh(cfg.orig, cfg.pair, one_based=cfg.one_based) if cfg.orig else None
+        load_pharaoh(cfg.orig, cfg.pair, one_based=cfg.one_based)
+        if cfg.method == "tgdfa+orig"
+        else None
     )
     la, lb = cfg.pair
     result = BilingualAlignmentSet(cfg.pair)
@@ -544,22 +516,13 @@ def align_with_model(
         for sid in test_ids
         if la in corpus.sentences.get(sid, {}) and lb in corpus.sentences.get(sid, {})
     ]
-    feats = featurize_ids(
-        graphs, ids, standardizer, lang_index, vocab, tc.feature, cfg
-    )
+    feats = featurize_ids(graphs, ids, standardizer, lang_index, vocab, tc.feature)
     for sf in feats:
         sid = sf.graph.sentence_id
-        if cfg.method == "tgdfa+orig":
-            links = tgdfa_plus_orig(
-                sf, params, la, lb, tc.feature,
-                orig_gdfa=orig.links.get(sid, set()) if orig else set(),
-                alpha=cfg.alpha, mode=cfg.threshold_on,
-            )
-        else:
-            links = tgdfa(
-                sf, params, la, lb, tc.feature, alpha=cfg.alpha, mode=cfg.threshold_on
-            )
-        result.links[sid] = links
+        result.links[sid] = tgdfa(
+            sf, params, la, lb, tc.feature, alpha=cfg.alpha, mode=cfg.threshold_on,
+            orig_gdfa=orig.links.get(sid) if orig else None,
+        )
     write_pharaoh(result, out_path)
 
 

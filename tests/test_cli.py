@@ -158,6 +158,23 @@ def test_align_and_eval_commands(synth_dir, tmp_path):
     assert (tmp_path / "eval.tsv").read_text().count("\n") == 2
 
 
+@pytest.mark.parametrize("extra", [(), ("--standardize", "per-graph")],
+                         ids=["global", "per-graph"])
+def test_align_featurizes_as_checkpoint_records(synth_dir, tmp_path, extra):
+    # trained enough that featurizing with other settings changes its links
+    run = tmp_path / "run"
+    extra = ("--hidden", "64", "--epochs", "3", *extra)
+    assert run_pipeline(synth_dir, run, seed="13", extra=extra) == 0
+    aligned = tmp_path / "cli.align"
+    rc = main([
+        "align", "--data", str(synth_dir), "--model", str(run / "model.mpwa"),
+        "--pair", "l00,l01", "--out", str(aligned),
+        "--test-ids", str(synth_dir / "test_ids.txt"),
+    ])
+    assert rc == 0
+    assert aligned.read_bytes() == (run / "l00-l01.tgdfa.align").read_bytes()
+
+
 def test_eval_with_bins(synth_dir, tmp_path):
     run = tmp_path / "run"
     assert run_pipeline(synth_dir, run) == 0
@@ -212,6 +229,16 @@ def test_stage_error_exit_code(tmp_path):
         "--pair", "a,b",
     ])
     assert rc == 1
+
+
+def test_bad_standardize_fails_before_any_stage(tmp_path):
+    from mpalign.pipeline import PipelineConfig, run_pipeline as run
+
+    cfg = PipelineConfig(data_dir=str(tmp_path), out_dir=str(tmp_path / "o"),
+                         pair=("a", "b"), standardize="z")
+    with pytest.raises(ValueError, match="unknown standardize mode"):
+        run(cfg)
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_config_keys_rejected():

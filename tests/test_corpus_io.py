@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -178,8 +180,8 @@ class TestPosTagged:
 
 
 class TestCheckpoint:
-    def make(self, tmp_path, seed=0, ablate=()):
-        cfg = TrainConfig(hidden=16, seed=seed, feature=FeatureConfig(ablate=ablate))
+    def make(self, tmp_path, seed=0, **feature):
+        cfg = TrainConfig(hidden=16, seed=seed, feature=FeatureConfig(**feature))
         rng = np.random.default_rng(seed)
         params = init_params(cfg, n_languages=3, vocab_size=11, rng=rng)
         std = FeatureStandardizer(np.arange(5.0), np.ones(5))
@@ -214,6 +216,20 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
+
+    def test_old_version_refused(self, tmp_path):
+        path, *_ = self.make(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="unsupported version 1"):
+            load_checkpoint(path)
+
+    def test_featurization_round_trip(self, tmp_path):
+        path, *_, cfg = self.make(tmp_path, gamma=1.5, lpc_seed=13, lpc_portion=0.7,
+                                  lpc_max_iters=50, standardize="per-graph")
+        cfg2 = load_checkpoint(path)[4]
+        assert cfg2.feature == cfg.feature
 
     def test_truncated(self, tmp_path):
         path, *_ = self.make(tmp_path)

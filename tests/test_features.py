@@ -249,9 +249,7 @@ class TestFeaturize:
         )
         std = FeatureStandardizer(np.zeros(5), np.ones(5))
         config = FeatureConfig()
-        sf = featurize(
-            g, std, {"eng": 0, "fra": 1}, {}, config, lpc_seed_base=0
-        )
+        sf = featurize(g, std, {"eng": 0, "fra": 1}, {}, config)
         assert sf.z_cent.shape == (201, 5)
         assert sf.pos_idx.max() == config.pos_table - 1  # clamped
         assert sf.word_idx.max() == 0  # everything unknown -> UNK row 0 of empty vocab

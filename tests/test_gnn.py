@@ -31,8 +31,8 @@ def make_bundle(seed=0, n_eng=3, n_fra=3, edges=None):
     std = FeatureStandardizer.fit([centralities(g)])
     vocab = {("eng", f"e{i}"): i for i in range(n_eng)}
     vocab.update({("fra", f"f{i}"): n_eng + i for i in range(n_fra)})
-    fc = FeatureConfig()
-    sf = featurize(g, std, {"eng": 0, "fra": 1}, vocab, fc, lpc_seed_base=seed)
+    fc = FeatureConfig(lpc_seed=seed)
+    sf = featurize(g, std, {"eng": 0, "fra": 1}, vocab, fc)
     return sf, vocab, fc
 
 
@@ -300,7 +300,7 @@ class TestTraining:
         lang_index = {lang: i for i, lang in enumerate(res.corpus.languages)}
         fc = FeatureConfig()
         feats = [
-            featurize(graphs[s], std, lang_index, vocab, fc, raw_centralities=raw[s])
+            featurize(graphs[s], std, lang_index, vocab, fc)
             for s in ids
         ]
         cfg = gnn.TrainConfig(hidden=48, seed=1, feature=fc)

@@ -8,7 +8,6 @@ from mpalign.inference import (
     gdfa,
     score_matrix,
     tgdfa,
-    tgdfa_plus_orig,
     threshold_directional,
 )
 
@@ -175,7 +174,7 @@ class TestTgdfa:
         params = {k: np.zeros_like(v) for k, v in
                   gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(0)).items()}
         orig = {(0, 0), (0, 1), (1, 1), (2, 2)}
-        links = tgdfa_plus_orig(sf, params, "eng", "fra", fc, orig, alpha=2.0)
+        links = tgdfa(sf, params, "eng", "fra", fc, alpha=2.0, orig_gdfa=orig)
         # zero model scores are uniform -> no forward/backward links survive
         assert links == {(0, 0), (1, 1), (2, 2)}
 
@@ -187,5 +186,5 @@ class TestTgdfa:
         fwd = threshold_directional(s.values, 2.0, "forward")
         bwd = threshold_directional(s.values, 2.0, "backward")
         orig = {(0, 0), (2, 1)}
-        out = tgdfa_plus_orig(sf, params, "eng", "fra", fc, orig, alpha=2.0)
+        out = tgdfa(sf, params, "eng", "fra", fc, alpha=2.0, orig_gdfa=orig)
         assert fwd & bwd <= out <= fwd | bwd | orig
