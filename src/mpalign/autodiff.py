@@ -7,6 +7,7 @@ dtype of the forward data (float32 for training, float64 for gradient checks).
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 
 _ACTIVE_MASK_TRACES: list[list] = []
@@ -72,9 +73,11 @@ class Tensor:
         return self.data.dtype
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        # copy the first gradient: the same array may be handed to other tensors
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = np.array(grad, dtype=self.data.dtype)
+        else:
+            self.grad += grad
 
     def backward(self) -> None:
         """Reverse accumulation from this (scalar) tensor."""
@@ -260,11 +263,25 @@ def rows(x: Tensor, idx: np.ndarray) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            acc = np.zeros_like(x.data)
-            np.add.at(acc, idx, g)
-            x._accumulate(acc)
+            x._accumulate(_scatter_rows(g, idx, x.data.shape[0]))
 
     return Tensor(x.data[idx], parents=(x,), backward=backward)
+
+
+def _scatter_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """Row ``r`` of the result sums the rows ``k`` of *g* with ``idx[k] == r``.
+
+    A one-hot CSR product whose rows list their ``k`` in ascending order, so
+    each row is summed in the order ``np.add.at`` would use: same bits.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(idx, minlength=n), out=indptr[1:])
+    order = np.argsort(idx, kind="stable")
+    onehot = sp.csr_array(
+        (np.ones(len(idx), dtype=g.dtype), order, indptr), shape=(n, len(idx))
+    )
+    return onehot @ g
 
 
 def narrow(x: Tensor, start: int, stop: int) -> Tensor:
@@ -272,9 +289,9 @@ def narrow(x: Tensor, start: int, stop: int) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            acc = np.zeros_like(x.data)
-            acc[start:stop] = g
-            x._accumulate(acc)
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            x.grad[start:stop] += g
 
     return Tensor(x.data[start:stop], parents=(x,), backward=backward)
 

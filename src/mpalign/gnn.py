@@ -2,7 +2,10 @@
 
 The encoder is two single-head graph-attention layers followed by a fully
 connected layer (ReLU between layers); the decoder scores a node pair from the
-concatenated hidden states through a two-layer MLP ending in a sigmoid.
+concatenated hidden states through a two-layer MLP ending in a sigmoid. Its
+first layer is evaluated as two per-node projections, one for each half of
+``dec1.W``, gathered per pair and summed: the same function, without a
+(pairs x 2h) product.
 Training iterates sentence graphs, splits each graph's edges into batches of
 positives and samples two in-sentence negatives per positive.
 """
@@ -200,9 +203,18 @@ def encode(
 def decode_pairs(
     hidden: Tensor, us: np.ndarray, vs: np.ndarray, P: dict[str, Tensor]
 ) -> tuple[Tensor, Tensor]:
-    """(probabilities, logits) for each (u, v) pair; order of u and v matters."""
-    z = ad.concat([ad.rows(hidden, us), ad.rows(hidden, vs)], axis=1)
-    z = ad.relu(z @ P["dec1.W"] + P["dec1.b"])
+    """(probabilities, logits) for each (u, v) pair; order of u and v matters.
+
+    ``concat(h_u, h_v) @ dec1.W`` is evaluated as ``h_u @ W_top + h_v @ W_bot``:
+    each distinct endpoint is projected once, then gathered per pair.
+    """
+    W = P["dec1.W"]
+    h = W.shape[0] // 2
+    u_nodes, u_of_pair = np.unique(us, return_inverse=True)
+    v_nodes, v_of_pair = np.unique(vs, return_inverse=True)
+    top = ad.rows(hidden, u_nodes) @ ad.narrow(W, 0, h)
+    bot = ad.rows(hidden, v_nodes) @ ad.narrow(W, h, 2 * h)
+    z = ad.relu(ad.rows(top, u_of_pair) + ad.rows(bot, v_of_pair) + P["dec1.b"])
     logits = z @ P["dec2.W"] + P["dec2.b"]
     return ad.sigmoid(logits), logits
 

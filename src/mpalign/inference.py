@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gnn
+from .autodiff import Tensor
 from .features import FeatureConfig, SentenceFeatures
 
 NEIGHBOR_OFFSETS = ((-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
@@ -44,7 +45,7 @@ def score_matrix(
         raise ValueError(f"unknown score mode {mode!r}")
     start_x, m = g.offsets[lang_x]
     start_y, l = g.offsets[lang_y]
-    P = gnn.as_leaves(params)
+    P = {name: Tensor(arr) for name, arr in params.items()}
     hidden = gnn.encode(sf, P, config)
     xs = np.repeat(np.arange(start_x, start_x + m), l)
     ys = np.tile(np.arange(start_y, start_y + l), m)

@@ -2,7 +2,9 @@
 
 Each stage writes its artifacts together with a ``.key`` file holding a content
 hash of its inputs and configuration; a rerun with unchanged inputs skips the
-stage and reuses the artifacts byte-for-byte.
+stage and reuses the artifacts byte-for-byte. A stage removes its key before it
+writes and writes the key last, so artifacts left by a stage that failed are
+never taken for a cache hit.
 """
 
 import hashlib
@@ -10,7 +12,7 @@ import json
 import logging
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -185,9 +187,12 @@ def stage_key(parts: Mapping) -> str:
     ).hexdigest()
 
 
-def cache_valid(key: str, artifacts: Iterable[Path]) -> bool:
-    artifacts = list(artifacts)
-    key_path = artifacts[0].with_suffix(artifacts[0].suffix + ".key")
+def _key_path(artifacts: Sequence[Path]) -> Path:
+    return artifacts[0].with_suffix(artifacts[0].suffix + ".key")
+
+
+def cache_valid(key: str, artifacts: Sequence[Path]) -> bool:
+    key_path = _key_path(artifacts)
     return (
         all(a.exists() for a in artifacts)
         and key_path.exists()
@@ -195,9 +200,30 @@ def cache_valid(key: str, artifacts: Iterable[Path]) -> bool:
     )
 
 
-def write_key(key: str, artifacts: Sequence[Path]) -> None:
-    key_path = artifacts[0].with_suffix(artifacts[0].suffix + ".key")
-    key_path.write_text(key + "\n")
+class StageError(RuntimeError):
+    def __init__(self, stage: str, cause: Exception):
+        super().__init__(f"stage {stage!r} failed: {cause}")
+        self.stage = stage
+        self.cause = cause
+
+
+def run_stage(
+    stage: str, key: str, artifacts: Sequence[Path], write: Callable[[], object]
+) -> None:
+    """Reuse *artifacts* when their key matches *key*, otherwise rewrite them.
+
+    The old key is removed before *write* runs and the new one written after
+    it returns; any failure is raised as a :class:`StageError`.
+    """
+    try:
+        if cache_valid(key, artifacts):
+            logger.info("%s: cache hit", stage)
+            return
+        _key_path(artifacts).unlink(missing_ok=True)
+        write()
+        _key_path(artifacts).write_text(key + "\n")
+    except Exception as exc:  # noqa: BLE001 - stage boundary
+        raise StageError(stage, exc) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +266,6 @@ def write_communities_tsv(
 # the pipeline
 
 
-class StageError(RuntimeError):
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage {stage!r} failed: {cause}")
-        self.stage = stage
-        self.cause = cause
-
-
 def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
     cfg.validate()
     out = Path(cfg.out_dir)
@@ -282,19 +301,16 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
         test_ids = all_ids
 
     # -- communities stage (artifacts are diagnostics; features recompute) --
-    try:
-        comm_key = stage_key({**base, "stage": "communities"})
-        comm_paths = [out / "communities_gmc.tsv", out / "communities_lpc.tsv"]
-        if cache_valid(comm_key, comm_paths):
-            logger.info("communities: cache hit")
-        else:
-            for algo, path in zip(("gmc", "lpc"), comm_paths):
-                write_communities_tsv(graphs, algo, path, cfg.feature_config())
-            write_key(comm_key, comm_paths)
-        artifacts["communities_gmc"] = comm_paths[0]
-        artifacts["communities_lpc"] = comm_paths[1]
-    except Exception as exc:
-        raise StageError("communities", exc) from exc
+    comm_key = stage_key({**base, "stage": "communities"})
+    comm_paths = [out / "communities_gmc.tsv", out / "communities_lpc.tsv"]
+
+    def write_communities():
+        for algo, path in zip(("gmc", "lpc"), comm_paths):
+            write_communities_tsv(graphs, algo, path, cfg.feature_config())
+
+    run_stage("communities", comm_key, comm_paths, write_communities)
+    artifacts["communities_gmc"] = comm_paths[0]
+    artifacts["communities_lpc"] = comm_paths[1]
 
     # -- features stage -------------------------------------------------------
     tc = cfg.train_config()
@@ -312,16 +328,15 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
         feat_dir / "word_vocab.json",
         feat_dir / "word_vectors.npy",
     ]
-    try:
-        if cache_valid(feat_key, feat_paths):
-            logger.info("features: cache hit")
-        else:
-            pieces = features_stage(corpus, graphs, train_ids, tc.feature.word_dim)
-            write_feature_artifacts(feat_dir, *pieces)
-            write_key(feat_key, feat_paths)
-        artifacts["features"] = feat_dir
-    except Exception as exc:
-        raise StageError("features", exc) from exc
+    run_stage(
+        "features",
+        feat_key,
+        feat_paths,
+        lambda: write_feature_artifacts(
+            feat_dir, *features_stage(corpus, graphs, train_ids, tc.feature.word_dim)
+        ),
+    )
+    artifacts["features"] = feat_dir
 
     # -- train stage ---------------------------------------------------------
     model_path = out / "model.mpwa"
@@ -344,19 +359,17 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
             },
         }
     )
-    try:
-        if cache_valid(train_key, [model_path, log_path]):
-            logger.info("train: cache hit")
-        else:
-            train_stage(
-                cfg, corpus, graphs, train_ids, model_path, log_path,
-                precomputed=read_feature_artifacts(feat_dir),
-            )
-            write_key(train_key, [model_path, log_path])
-        artifacts["model"] = model_path
-        artifacts["train_log"] = log_path
-    except Exception as exc:
-        raise StageError("train", exc) from exc
+    run_stage(
+        "train",
+        train_key,
+        [model_path, log_path],
+        lambda: train_stage(
+            cfg, corpus, graphs, train_ids, model_path, log_path,
+            precomputed=read_feature_artifacts(feat_dir),
+        ),
+    )
+    artifacts["model"] = model_path
+    artifacts["train_log"] = log_path
 
     # -- align stage ----------------------------------------------------------
     pair_tag = f"{cfg.pair[0]}-{cfg.pair[1]}"
@@ -374,22 +387,13 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
             "test_ids": test_ids,
         }
     )
-    try:
-        if cache_valid(align_key, [align_path]):
-            logger.info("align: cache hit")
-        else:
-            align_with_model(
-                model_path,
-                graphs,
-                corpus,
-                test_ids,
-                cfg,
-                align_path,
-            )
-            write_key(align_key, [align_path])
-        artifacts["alignments"] = align_path
-    except Exception as exc:
-        raise StageError("align", exc) from exc
+    run_stage(
+        "align",
+        align_key,
+        [align_path],
+        lambda: align_with_model(model_path, graphs, corpus, test_ids, cfg, align_path),
+    )
+    artifacts["alignments"] = align_path
 
     # -- eval stage -----------------------------------------------------------
     if cfg.gold:
@@ -403,15 +407,13 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
                 "bins": cfg.eval_bins,
             }
         )
-        try:
-            if cache_valid(eval_key, [eval_path]):
-                logger.info("eval: cache hit")
-            else:
-                evaluate_predictions(cfg, corpus, test_ids, align_path, eval_path)
-                write_key(eval_key, [eval_path])
-            artifacts["eval"] = eval_path
-        except Exception as exc:
-            raise StageError("eval", exc) from exc
+        run_stage(
+            "eval",
+            eval_key,
+            [eval_path],
+            lambda: evaluate_predictions(cfg, corpus, test_ids, align_path, eval_path),
+        )
+        artifacts["eval"] = eval_path
 
     return artifacts
 

@@ -151,3 +151,62 @@ def test_dtype_preserved():
     assert y.dtype == np.float32
     ad.mean(y).backward()
     assert x.grad.dtype == np.float32
+
+
+def add_at_reference(g, idx, n):
+    acc = np.zeros((n,) + g.shape[1:], dtype=g.dtype)
+    np.add.at(acc, idx, g)
+    return acc
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [1, 512])
+@pytest.mark.parametrize(
+    "n,idx",
+    [
+        (5, [3, 0, 3, 1, 0, 3, 2]),  # repeated, unsorted; row 4 never gathered
+        (4, []),
+        (48, np.random.default_rng(7).integers(0, 48, size=375)),
+    ],
+)
+def test_rows_backward_bit_identical_to_add_at(dtype, width, n, idx):
+    rng = np.random.default_rng(11)
+    idx = np.asarray(idx, dtype=np.int64)
+    x = Tensor(rng.normal(size=(n, width)).astype(dtype), requires_grad=True)
+    y = ad.rows(x, idx)
+    g = rng.normal(size=y.shape).astype(dtype)
+    y._backward(g)
+    expected = add_at_reference(g, idx, n)
+    assert x.grad.dtype == dtype and x.grad.shape == (n, width)
+    assert x.grad.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("direct_first", [True, False])
+def test_narrow_slices_and_direct_use_accumulate(rng, direct_first):
+    w = [rng.normal(size=(3, 3)), rng.normal(size=(4, 3)), rng.normal(size=(5, 3))]
+
+    def build(ts):
+        x = ts[0]
+        direct = ad.mean(x * w[2])
+        sliced = ad.mean(ad.narrow(x, 0, 3) * w[0]) + ad.mean(ad.narrow(x, 1, 5) * w[1])
+        return direct + sliced if direct_first else sliced + direct
+
+    fd_check(build, [rng.normal(size=(5, 3))])
+    x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    build([x]).backward()
+    expected = w[2] / 15
+    expected[:3] += w[0] / 9
+    expected[1:] += w[1] / 12
+    np.testing.assert_allclose(x.grad, expected, atol=1e-15)
+
+
+@pytest.mark.parametrize("sum_first", [True, False])
+def test_first_gradient_is_not_shared(rng, sum_first):
+    """``a + b`` hands both operands one array; each must own its gradient."""
+    a = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+    c = (a * 3.0) * 1.0
+    out = ad.mean((a + b) + c) if sum_first else ad.mean(c + (a + b))
+    out.backward()
+    np.testing.assert_allclose(a.grad, np.full((2, 2), 1.0))
+    np.testing.assert_allclose(b.grad, np.full((2, 2), 0.25))

@@ -107,6 +107,52 @@ def test_pipeline_cache_hit_and_determinism(synth_dir, tmp_path):
     assert (out2 / align_name).read_bytes() == align_bytes
 
 
+@pytest.mark.parametrize(
+    "stage,writer",
+    [
+        ("communities", "write_communities_tsv"),
+        ("features", "write_feature_artifacts"),
+        ("train", "save_checkpoint"),
+        ("align", "write_pharaoh"),
+        ("eval", "evaluate_predictions"),
+    ],
+)
+def test_failed_stage_leaves_no_cache_hit(
+    synth_dir, tmp_path, monkeypatch, caplog, stage, writer
+):
+    """Run A, then a run B with another seed whose stage writer raises after
+    writing, then A again: A's stage must miss and rebuild A's outputs."""
+    import mpalign.pipeline as pl
+
+    out = tmp_path / "run"
+
+    def snapshot():
+        return {
+            str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*"))
+            if p.is_file() and p.suffix != ".key"
+        }
+
+    assert run_pipeline(synth_dir, out, seed="3") == 0
+    first = snapshot()
+
+    real = getattr(pl, writer)
+
+    def write_then_fail(*args, **kwargs):
+        real(*args, **kwargs)
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(pl, writer, write_then_fail)
+    assert run_pipeline(synth_dir, out, seed="4") == 1
+    monkeypatch.undo()
+
+    caplog.clear()
+    with caplog.at_level("INFO", logger="mpalign.pipeline"):
+        assert run_pipeline(synth_dir, out, seed="3") == 0
+    assert f"{stage}: cache hit" not in caplog.messages
+    assert snapshot() == first
+
+
 def test_multi_epoch_fixed_negatives_runs(synth_dir, tmp_path):
     out = tmp_path / "fixed"
     rc = run_pipeline(

@@ -174,6 +174,57 @@ class TestDecode:
         assert p_uv.data[0, 0] != p_vu.data[0, 0]
 
 
+def concat_decode(hidden, us, vs, P):
+    """The decoder as specified: an MLP over ``concat(h_u, h_v)``."""
+    z = ad.concat([ad.rows(hidden, us), ad.rows(hidden, vs)], axis=1)
+    z = ad.relu(z @ P["dec1.W"] + P["dec1.b"])
+    logits = z @ P["dec2.W"] + P["dec2.b"]
+    return ad.sigmoid(logits), logits
+
+
+class TestFactoredDecode:
+    """``decode_pairs`` projects each endpoint once; it must compute the
+    concatenation decoder's values and gradients."""
+
+    N = 9
+    CASES = {
+        "fewer_pairs": ([0, 4, 7], [1, 1, 8]),
+        "repeated_endpoints": ([2, 2, 5, 2, 0, 5], [6, 6, 3, 6, 6, 1]),
+        "more_pairs": (
+            np.random.default_rng(3).integers(0, 9, size=40),
+            np.random.default_rng(4).integers(0, 9, size=40),
+        ),
+    }
+
+    def params(self, dtype, hidden=16):
+        _, vocab, fc = make_bundle()
+        cfg = gnn.TrainConfig(hidden=hidden, feature=fc)
+        params = gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(1))
+        params["dec1.b"] = np.random.default_rng(2).normal(size=(1, hidden))
+        return {k: v.astype(dtype) for k, v in params.items()}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_matches_concat_reference(self, case, dtype, tol):
+        us, vs = (np.asarray(a, dtype=np.int64) for a in self.CASES[case])
+        params = self.params(dtype)
+        h = np.random.default_rng(5).normal(size=(self.N, 16)).astype(dtype)
+        runs = []
+        for decode in (gnn.decode_pairs, concat_decode):
+            P = gnn.as_leaves(params)
+            hidden = Tensor(h.copy(), requires_grad=True)
+            probs, logits = decode(hidden, us, vs, P)
+            ad.mean(probs * np.linspace(-1, 1, len(us)).reshape(-1, 1)).backward()
+            runs.append((probs, logits, hidden, P))
+        (p, l, hid, P), (p_ref, l_ref, hid_ref, P_ref) = runs
+        assert p.dtype == dtype and l.shape == (len(us), 1)
+        np.testing.assert_allclose(l.data, l_ref.data, rtol=0, atol=tol)
+        np.testing.assert_allclose(p.data, p_ref.data, rtol=0, atol=tol)
+        np.testing.assert_allclose(hid.grad, hid_ref.grad, rtol=0, atol=tol)
+        for name in ("dec1.W", "dec1.b", "dec2.W", "dec2.b"):
+            np.testing.assert_allclose(P[name].grad, P_ref[name].grad, rtol=0, atol=tol)
+
+
 class TestLoss:
     def test_perfect_classifier_near_zero(self):
         eps = gnn.LOSS_EPS
