@@ -5,7 +5,7 @@ Builds one fixed synthetic sentence graph (8 languages x 6 tokens, the
 sentence shape of the end-to-end benchmark), initializes a hidden-512 model
 and runs the step ``train_model`` runs for it: encode, decode of the positives
 and their negatives, loss, backward and the AdamW update. Each layer is timed
-in every one of ``--repeats`` steps (default 30, after 3 warm-up steps).
+in each of ``REPEATS`` steps (after ``WARMUP`` warm-up steps).
 Prints the best and the median in ms with the spread (upper minus lower
 quartile) per layer, or one JSON object with ``--json``.
 """
@@ -30,6 +30,8 @@ from mpalign.features import (  # noqa: E402
 from mpalign.graph import build_graph  # noqa: E402
 
 LAYERS = ("encode", "decode", "loss", "backward", "adamw")
+REPEATS = 100
+WARMUP = 3
 
 
 def make_step_inputs(hidden=512, seed=0):
@@ -77,17 +79,17 @@ def timed_step(sf, config, params, opt, pairs) -> dict[str, float]:
     return times
 
 
-def run_suite(repeats=30, warmup=3, hidden=512):
+def run_suite(hidden=512):
     sf, config, params, pairs = make_step_inputs(hidden)
     opt = gnn.AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
-    for _ in range(warmup):
+    for _ in range(WARMUP):
         timed_step(sf, config, params, opt, pairs)
-    samples = [timed_step(sf, config, params, opt, pairs) for _ in range(repeats)]
+    samples = [timed_step(sf, config, params, opt, pairs) for _ in range(REPEATS)]
     results = {
         "nodes": sf.graph.n,
         "pairs": len(pairs[0]) + len(pairs[2]),
         "hidden": hidden,
-        "repeats": repeats,
+        "repeats": REPEATS,
     }
     for name in LAYERS + ("step",):
         ms = np.array([s[name] for s in samples]) * 1000.0
@@ -102,11 +104,8 @@ def run_suite(repeats=30, warmup=3, hidden=512):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--json", action="store_true", help="print one JSON object")
-    parser.add_argument("--repeats", type=int, default=30)
     args = parser.parse_args()
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
-    results = run_suite(repeats=args.repeats)
+    results = run_suite()
     if args.json:
         print(json.dumps(results))
         return

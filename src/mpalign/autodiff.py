@@ -289,6 +289,7 @@ def narrow(x: Tensor, start: int, stop: int) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
+            # writes in place: safe because _accumulate gives x.grad its own copy
             if x.grad is None:
                 x.grad = np.zeros_like(x.data)
             x.grad[start:stop] += g
