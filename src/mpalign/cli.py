@@ -7,6 +7,7 @@ single-threaded; failures exit nonzero with a stage-tagged message.
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline as pl
@@ -25,8 +26,14 @@ def _pair(text: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
-def _csv(text: str) -> list[str]:
-    return [p for p in text.split(",") if p]
+def _csv(text: str) -> tuple[str, ...]:
+    return tuple(p for p in text.split(",") if p)
+
+
+def _settings(p: argparse.ArgumentParser, title: str):
+    """A group of flags named after config fields. A flag the user does not
+    give is left out of the parsed namespace, so the field keeps its default."""
+    return p.add_argument_group(title, argument_default=argparse.SUPPRESS)
 
 
 def _add_data_arg(p: argparse.ArgumentParser) -> None:
@@ -43,36 +50,41 @@ def _add_data_arg(p: argparse.ArgumentParser) -> None:
 
 
 def _add_cd_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=float, default=1.0, help="modularity resolution")
-    p.add_argument("--lpc-portion", type=float, default=0.5,
+    g = _settings(p, "community detection")
+    g.add_argument("--gamma", type=float, help="modularity resolution")
+    g.add_argument("--lpc-portion", type=float,
                    help="fraction of nodes updated per label propagation round")
-    p.add_argument("--lpc-max-iters", type=int, default=100)
+    g.add_argument("--lpc-max-iters", type=int)
+    g.add_argument("--seed", type=int,
+                   help="base of the per-sentence LPC seeds; also the training seed")
 
 
 def _add_train_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=1)
-    p.add_argument("--batch-size", type=int, default=400)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--train-sample", type=int, default=6400,
-                   help="max sentences sampled for training")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hidden", type=int, default=512)
-    p.add_argument("--ablate", type=_csv, default=[],
-                   help="feature blocks to drop: centrality,community,position,language,word")
-    p.add_argument("--fixed-negatives", action="store_true",
+    g = _settings(p, "training")
+    g.add_argument("--epochs", type=int)
+    g.add_argument("--batch-size", type=int)
+    g.add_argument("--lr", type=float)
+    g.add_argument("--train-sample", type=int, help="max sentences sampled for training")
+    g.add_argument("--hidden", type=int)
+    g.add_argument(
+        "--ablate",
+        type=_csv,
+        help="feature blocks to drop: centrality,community,position,language,word",
+    )
+    g.add_argument("--fixed-negatives", action="store_false", dest="resample_negatives",
                    help="reuse the same negative samples in every epoch")
-    p.add_argument("--standardize", choices=("global", "per-graph"), default="global")
-    p.add_argument("--train-ids", help="file with one training sentence id per line")
+    g.add_argument("--standardize", choices=("global", "per-graph"))
+    g.add_argument("--train-ids", help="file with one training sentence id per line")
 
 
 def _add_align_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pair", type=_pair, required=True, help="source,target languages")
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--method", choices=("tgdfa", "tgdfa+orig"), default="tgdfa")
-    p.add_argument("--orig", help="bilingual GDFA links for tgdfa+orig")
-    p.add_argument("--threshold-on", choices=("logit", "prob"), default="logit",
-                   dest="threshold_on")
-    p.add_argument("--test-ids", help="file with one sentence id per line to align")
+    g = _settings(p, "alignment")
+    g.add_argument("--pair", type=_pair, required=True, help="source,target languages")
+    g.add_argument("--alpha", type=float)
+    g.add_argument("--method", choices=("tgdfa", "tgdfa+orig"))
+    g.add_argument("--orig", help="bilingual GDFA links for tgdfa+orig")
+    g.add_argument("--threshold-on", choices=("logit", "prob"))
+    g.add_argument("--test-ids", help="file with one sentence id per line to align")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,15 +96,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a planted-concept corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--sentences", type=int, default=200)
-    p.add_argument("--languages", type=int, default=4)
-    p.add_argument("--vocab", type=int, default=150)
-    p.add_argument("--len-min", type=int, default=6)
-    p.add_argument("--len-max", type=int, default=10)
-    p.add_argument("--edge-drop", type=float, default=0.0)
-    p.add_argument("--edge-noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--test-size", type=int, default=0)
+    g = _settings(p, "corpus")
+    g.add_argument("--sentences", type=int, dest="n_sentences")
+    g.add_argument("--languages", type=int, dest="n_languages")
+    g.add_argument("--vocab", type=int)
+    g.add_argument("--len-min", type=int)
+    g.add_argument("--len-max", type=int)
+    g.add_argument("--edge-drop", type=float, dest="edge_drop_rate")
+    g.add_argument("--edge-noise", type=float, dest="edge_noise_rate")
+    g.add_argument("--seed", type=int)
+    g.add_argument("--test-size", type=int, dest="n_test")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("build-graph", help="dump sentence graphs as text")
@@ -105,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_arg(p)
     _add_cd_args(p)
     p.add_argument("--algorithm", choices=("gmc", "lpc"), required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_communities)
 
@@ -164,33 +176,41 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cd_args(p)
     _add_train_args(p)
     _add_align_args(p)
-    p.add_argument("--gold")
-    p.add_argument("--eval-bins", type=int, default=0)
+    g = _settings(p, "evaluation")
+    g.add_argument("--gold")
+    g.add_argument("--eval-bins", type=int)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_pipeline)
     return ap
 
 
-def cmd_synth(args) -> int:
-    cfg = SynthConfig(
-        n_sentences=args.sentences,
-        n_languages=args.languages,
-        vocab=args.vocab,
-        len_min=args.len_min,
-        len_max=args.len_max,
-        edge_drop_rate=args.edge_drop,
-        edge_noise_rate=args.edge_noise,
-        seed=args.seed,
-        n_test=args.test_size,
+def _fields(args, cls) -> dict:
+    """The parsed flags whose dest names a field of the dataclass *cls*."""
+    names = {f.name for f in fields(cls)}
+    return {k: v for k, v in vars(args).items() if k in names}
+
+
+def _pipeline_config(args, out_dir: str) -> pl.PipelineConfig:
+    cfg = pl.PipelineConfig(
+        data_dir=args.data, out_dir=out_dir, **_fields(args, pl.PipelineConfig)
     )
-    write_synth(generate(cfg), args.out)
+    cfg.validate()
+    return cfg
+
+
+def _load_graphs(args):
+    corpus, asets = pl.load_inputs(args.data, one_based=args.one_based)
+    return corpus, pl.build_all_graphs(corpus, asets)
+
+
+def cmd_synth(args) -> int:
+    write_synth(generate(SynthConfig(**_fields(args, SynthConfig))), args.out)
     print(f"wrote synthetic corpus to {args.out}")
     return 0
 
 
 def cmd_build_graph(args) -> int:
-    corpus, asets = pl.load_inputs(args.data, one_based=args.one_based)
-    graphs = pl.build_all_graphs(corpus, asets)
+    _, graphs = _load_graphs(args)
     ids = [args.sentence] if args.sentence else sorted(graphs)
     with open(args.out, "w", encoding="utf-8") as fh:
         for sid in ids:
@@ -201,29 +221,18 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_communities(args) -> int:
-    corpus, asets = pl.load_inputs(args.data, one_based=args.one_based)
-    graphs = pl.build_all_graphs(corpus, asets)
-    config = FeatureConfig(
-        gamma=args.gamma,
-        lpc_seed=args.seed,
-        lpc_portion=args.lpc_portion,
-        lpc_max_iters=args.lpc_max_iters,
-    )
-    pl.write_communities_tsv(graphs, args.algorithm, Path(args.out), config)
+    cfg = _pipeline_config(args, str(Path(args.out).parent))
+    _, graphs = _load_graphs(args)
+    pl.write_communities_tsv(graphs, args.algorithm, Path(args.out), cfg.feature_config())
     print(f"wrote {args.algorithm} communities for {len(graphs)} sentences to {args.out}")
     return 0
 
 
 def cmd_features(args) -> int:
-    corpus, asets = pl.load_inputs(args.data, one_based=args.one_based)
-    graphs = pl.build_all_graphs(corpus, asets)
-    ids = (
-        [s for s in pl.read_id_file(args.train_ids) if s in graphs]
-        if args.train_ids
-        else sorted(graphs)
-    )
+    corpus, graphs = _load_graphs(args)
+    ids = pl.select_ids(args.train_ids, graphs)
     standardizer, vocab, table = pl.features_stage(
-        corpus, graphs, ids, FeatureConfig().word_dim
+        corpus, graphs, ids, FeatureConfig.word_dim
     )
     out = Path(args.out)
     pl.write_feature_artifacts(out, standardizer, vocab, table)
@@ -236,69 +245,23 @@ def cmd_features(args) -> int:
     return 0
 
 
-def _pipeline_config(args, **extra) -> pl.PipelineConfig:
-    cfg = pl.PipelineConfig(
-        data_dir=args.data,
-        out_dir=extra.pop("out_dir"),
-        pair=extra.pop("pair", ("", "")),
-        one_based=args.one_based,
-        **extra,
-    )
-    cfg.validate()
-    return cfg
-
-
 def cmd_train(args) -> int:
+    cfg = _pipeline_config(args, args.out)
+    corpus, graphs = _load_graphs(args)
+    ids = pl.select_ids(cfg.train_ids, graphs)
+    fitted = pl.features_stage(corpus, graphs, ids, FeatureConfig.word_dim)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = _pipeline_config(
-        args,
-        out_dir=args.out,
-        pair=("", ""),
-        train_ids=args.train_ids,
-        gamma=args.gamma,
-        lpc_portion=args.lpc_portion,
-        lpc_max_iters=args.lpc_max_iters,
-        lr=args.lr,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        train_sample=args.train_sample,
-        seed=args.seed,
-        hidden=args.hidden,
-        ablate=tuple(args.ablate),
-        resample_negatives=not args.fixed_negatives,
-        standardize=args.standardize,
-    )
-    corpus, asets = pl.load_inputs(args.data, one_based=args.one_based)
-    graphs = pl.build_all_graphs(corpus, asets)
-    ids = (
-        [s for s in pl.read_id_file(args.train_ids) if s in graphs]
-        if args.train_ids
-        else sorted(graphs)
-    )
-    pl.train_stage(cfg, corpus, graphs, ids, out / "model.mpwa", out / "train_log.json")
-    print(f"trained on {len(ids)} sentences; checkpoint at {out / 'model.mpwa'}")
+    model_path = out / "model.mpwa"
+    pl.train_stage(cfg, corpus, graphs, ids, fitted, model_path, out / "train_log.json")
+    print(f"trained on {len(ids)} sentences; checkpoint at {model_path}")
     return 0
 
 
 def cmd_align(args) -> int:
-    cfg = _pipeline_config(
-        args,
-        out_dir=str(Path(args.out).parent),
-        pair=args.pair,
-        orig=args.orig,
-        alpha=args.alpha,
-        method=args.method,
-        threshold_on=args.threshold_on,
-        test_ids=args.test_ids,
-    )
-    corpus, asets = pl.load_inputs(args.data, one_based=args.one_based)
-    graphs = pl.build_all_graphs(corpus, asets)
-    ids = (
-        [s for s in pl.read_id_file(args.test_ids) if s in graphs]
-        if args.test_ids
-        else sorted(graphs)
-    )
+    cfg = _pipeline_config(args, str(Path(args.out).parent))
+    corpus, graphs = _load_graphs(args)
+    ids = pl.select_ids(cfg.test_ids, graphs)
     pl.align_with_model(Path(args.model), graphs, corpus, ids, cfg, Path(args.out))
     print(f"aligned {len(ids)} sentences -> {args.out}")
     return 0
@@ -379,32 +342,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    cfg = _pipeline_config(
-        args,
-        out_dir=args.out,
-        pair=args.pair,
-        gold=args.gold,
-        orig=args.orig,
-        train_ids=args.train_ids,
-        test_ids=args.test_ids,
-        alpha=args.alpha,
-        method=args.method,
-        threshold_on=args.threshold_on,
-        gamma=args.gamma,
-        lpc_portion=args.lpc_portion,
-        lpc_max_iters=args.lpc_max_iters,
-        lr=args.lr,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        train_sample=args.train_sample,
-        seed=args.seed,
-        hidden=args.hidden,
-        ablate=tuple(args.ablate),
-        resample_negatives=not args.fixed_negatives,
-        standardize=args.standardize,
-        eval_bins=args.eval_bins,
-    )
-    artifacts = pl.run_pipeline(cfg)
+    artifacts = pl.run_pipeline(_pipeline_config(args, args.out))
     for name, path in artifacts.items():
         print(f"{name}: {path}")
     return 0

@@ -67,16 +67,23 @@ class GoldAlignment:
         return sorted(self.possible)
 
 
-def _read_tabbed(path: Path):
-    """Yield (line_no, sentence_id, payload) triples, skipping blank lines."""
+def _read_tabbed(path: Path, bare_id_ok: bool = False):
+    """Yield (line_no, sentence_id, payload) triples, skipping blank lines.
+
+    With *bare_id_ok* a line holding only an id (no tab) yields an empty
+    payload; alignment files use it for a sentence with no links.
+    """
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
                 continue
-            if "\t" not in line:
+            if "\t" in line:
+                sid, payload = line.split("\t", 1)
+            elif bare_id_ok and " " not in line.strip():
+                sid, payload = line.strip(), ""
+            else:
                 raise CorpusFormatError(f"{path}:{line_no}: missing tab separator")
-            sid, payload = line.split("\t", 1)
             if not sid:
                 raise CorpusFormatError(f"{path}:{line_no}: empty sentence id")
             yield line_no, sid, payload
@@ -133,31 +140,11 @@ def load_pharaoh(
     """Load Pharaoh-style ``i-j`` links. Duplicates are merged; order is irrelevant."""
     path = Path(path)
     links: dict[str, set[tuple[int, int]]] = {}
-    for line_no, sid, payload in _read_tabbed_allow_empty(path):
+    for line_no, sid, payload in _read_tabbed(path, bare_id_ok=True):
         out = links.setdefault(sid, set())
         for item in payload.split():
             out.add(_parse_index_pair(item, "-", path, line_no, one_based))
     return BilingualAlignmentSet(lang_pair, links)
-
-
-def _read_tabbed_allow_empty(path: Path):
-    """Like _read_tabbed but a line ``sid<TAB>`` (no payload) is allowed."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                # a bare id means an empty link list
-                sid = line.strip()
-                if " " in sid:
-                    raise CorpusFormatError(f"{path}:{line_no}: missing tab separator")
-                yield line_no, sid, ""
-                continue
-            sid, payload = line.split("\t", 1)
-            if not sid:
-                raise CorpusFormatError(f"{path}:{line_no}: empty sentence id")
-            yield line_no, sid, payload
 
 
 def write_pharaoh(aset: BilingualAlignmentSet, path: str | Path) -> None:
@@ -176,7 +163,7 @@ def load_gold(
     """
     path = Path(path)
     gold = GoldAlignment(lang_pair)
-    for line_no, sid, payload in _read_tabbed_allow_empty(path):
+    for line_no, sid, payload in _read_tabbed(path, bare_id_ok=True):
         sure = gold.sure.setdefault(sid, set())
         poss = gold.possible.setdefault(sid, set())
         for item in payload.split():

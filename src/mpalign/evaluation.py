@@ -10,8 +10,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .communities import detect, refine_edges
+from .communities import refine_edges
 from .corpus import GoldAlignment, MultiParallelCorpus
+from .features import FeatureConfig, partition
 from .graph import AlignmentGraph
 
 LinkSet = set[tuple[int, int]]
@@ -180,14 +181,11 @@ def community_alignment_eval(
     seed: int = 0,
 ) -> EvalReport:
     """Score the links a community detector implies for one language pair."""
-    from .features import derive_seed
-
+    config = FeatureConfig(gamma=gamma, lpc_seed=seed)
     predicted: dict[str, LinkSet] = {}
     for g in graphs:
         if g.sentence_id not in gold.possible:
             continue
-        p = detect(
-            g, algorithm, gamma=gamma, seed=derive_seed(seed, f"lpc:{g.sentence_id}")
-        )
+        p = partition(g, algorithm, config)
         predicted[g.sentence_id] = community_links(g, p, lang_pair)
     return score(predicted, gold)

@@ -133,11 +133,8 @@ def frozen_param_names(config: FeatureConfig) -> set[str]:
     return {name for block in config.ablate for name in _BLOCK_PARAMS[block]}
 
 
-def as_leaves(params: dict[str, np.ndarray], dtype=None) -> dict[str, Tensor]:
-    return {
-        name: Tensor(arr if dtype is None else arr.astype(dtype), requires_grad=True)
-        for name, arr in params.items()
-    }
+def as_leaves(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
+    return {name: Tensor(arr, requires_grad=True) for name, arr in params.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +331,26 @@ class TrainResult:
     sentences_used: list[str]
 
 
+def _forward_loss(
+    sf: SentenceFeatures,
+    params: dict[str, np.ndarray],
+    config: FeatureConfig,
+    us: np.ndarray,
+    vs: np.ndarray,
+    neg_u: np.ndarray,
+    neg_v: np.ndarray,
+) -> tuple[Tensor, dict[str, Tensor]]:
+    """The loss of one batch and the parameter leaves it was computed from."""
+    P = as_leaves(params)
+    hidden = encode(sf, P, config)
+    p_pos, _ = decode_pairs(hidden, us, vs, P)
+    p_neg = None
+    if len(neg_u):
+        p_neg, _ = decode_pairs(hidden, neg_u, neg_v, P)
+    loss = batch_loss(p_pos, p_neg)
+    return loss, P
+
+
 def train_model(
     feats: Sequence[SentenceFeatures],
     config: TrainConfig,
@@ -380,13 +397,7 @@ def train_model(
             nrng = srng
             for us, vs in edge_batches(sf, config.batch_size, srng):
                 neg_u, neg_v = sample_negatives(sf, us, vs, nrng)
-                P = as_leaves(params)
-                hidden = encode(sf, P, config.feature)
-                p_pos, _ = decode_pairs(hidden, us, vs, P)
-                p_neg = None
-                if len(neg_u):
-                    p_neg, _ = decode_pairs(hidden, neg_u, neg_v, P)
-                loss = batch_loss(p_pos, p_neg)
+                loss, P = _forward_loss(sf, params, config.feature, us, vs, neg_u, neg_v)
                 loss.backward()
                 opt.step({name: t.grad for name, t in P.items()})
                 losses.append(float(loss.data))
@@ -414,25 +425,6 @@ class GradCheckReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-def _forward_loss(
-    sf: SentenceFeatures,
-    params: dict[str, np.ndarray],
-    config: FeatureConfig,
-    us: np.ndarray,
-    vs: np.ndarray,
-    neg_u: np.ndarray,
-    neg_v: np.ndarray,
-) -> tuple[float, dict[str, Tensor]]:
-    P = as_leaves(params)
-    hidden = encode(sf, P, config)
-    p_pos, _ = decode_pairs(hidden, us, vs, P)
-    p_neg = None
-    if len(neg_u):
-        p_neg, _ = decode_pairs(hidden, neg_u, neg_v, P)
-    loss = batch_loss(p_pos, p_neg)
-    return loss, P
 
 
 def compare_grads(

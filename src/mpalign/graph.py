@@ -116,10 +116,6 @@ class AlignmentGraph:
     def neighbors(self, node_id: int) -> np.ndarray:
         return self.indices[self.indptr[node_id] : self.indptr[node_id + 1]]
 
-    def language_nodes(self, lang: str) -> range:
-        start, count = self.offsets[lang]
-        return range(start, start + count)
-
     def with_edges(self, edges: np.ndarray) -> "AlignmentGraph":
         """New graph over the same nodes with a different edge set."""
         return AlignmentGraph(self.sentence_id, self.tokens, edges)

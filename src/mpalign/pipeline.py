@@ -10,7 +10,7 @@ never taken for a cache hit.
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -46,9 +46,13 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class PipelineConfig:
+    """Every setting of a run. Model and featurization settings mirror
+    :class:`TrainConfig` and :class:`FeatureConfig` and take their defaults
+    from them; ``seed`` seeds training and is the base of the LPC seeds."""
+
     data_dir: str
     out_dir: str
-    pair: tuple[str, str]
+    pair: tuple[str, str] | None = None  # needed to align, not to train
     gold: str | None = None
     orig: str | None = None
     train_ids: str | None = None
@@ -58,18 +62,18 @@ class PipelineConfig:
     alpha: float = 2.0
     method: str = "tgdfa"  # "tgdfa" or "tgdfa+orig"
     threshold_on: str = "logit"  # or "prob"
-    lr: float = 1e-3
-    batch_size: int = 400
-    epochs: int = 1
-    train_sample: int = 6400
-    seed: int = 0
-    hidden: int = 512
-    ablate: tuple[str, ...] = ()
-    resample_negatives: bool = True
-    gamma: float = 1.0
-    lpc_portion: float = 0.5
-    lpc_max_iters: int = 100
-    standardize: str = "global"  # or "per-graph"
+    lr: float = TrainConfig.lr
+    batch_size: int = TrainConfig.batch_size
+    epochs: int = TrainConfig.epochs
+    train_sample: int = TrainConfig.train_sample
+    seed: int = TrainConfig.seed
+    hidden: int = TrainConfig.hidden
+    ablate: tuple[str, ...] = FeatureConfig.ablate
+    resample_negatives: bool = TrainConfig.resample_negatives
+    gamma: float = FeatureConfig.gamma
+    lpc_portion: float = FeatureConfig.lpc_portion
+    lpc_max_iters: int = FeatureConfig.lpc_max_iters
+    standardize: str = FeatureConfig.standardize
     eval_bins: int = 0
 
     @classmethod
@@ -92,7 +96,7 @@ class PipelineConfig:
         self.feature_config()  # raises on a bad standardize mode or ablation block
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if len(self.pair) != 2 or self.pair[0] == self.pair[1]:
+        if self.pair is not None and (len(self.pair) != 2 or self.pair[0] == self.pair[1]):
             raise ValueError("pair must name two distinct languages")
 
     def feature_config(self) -> FeatureConfig:
@@ -167,6 +171,16 @@ def build_all_graphs(
 
 def read_id_file(path: str | Path) -> list[str]:
     return [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
+
+
+def select_ids(
+    path: str | Path | None, graphs: Mapping[str, AlignmentGraph]
+) -> list[str]:
+    """The ids listed in *path* that have a graph, in file order; without a
+    file, every graph's id in sorted order."""
+    if not path:
+        return sorted(graphs)
+    return [sid for sid in read_id_file(path) if sid in graphs]
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +282,8 @@ def write_communities_tsv(
 
 def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
     cfg.validate()
+    if cfg.pair is None:
+        raise ValueError("the pipeline needs a language pair to align")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, Path] = {}
@@ -292,13 +308,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
     except Exception as exc:  # noqa: BLE001 - stage boundary
         raise StageError("build-graph", exc) from exc
 
-    all_ids = sorted(graphs)
-    train_ids = read_id_file(cfg.train_ids) if cfg.train_ids else all_ids
-    train_ids = [sid for sid in train_ids if sid in graphs]
-    if cfg.test_ids:
-        test_ids = [sid for sid in read_id_file(cfg.test_ids) if sid in graphs]
-    else:
-        test_ids = all_ids
+    train_ids = select_ids(cfg.train_ids, graphs)
+    test_ids = select_ids(cfg.test_ids, graphs)
 
     # -- communities stage (artifacts are diagnostics; features recompute) --
     comm_key = stage_key({**base, "stage": "communities"})
@@ -347,16 +358,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
             "stage": "train",
             "features_key": feat_key,
             "train_ids": train_ids,
-            "standardize": cfg.standardize,
-            "train": {
-                "hidden": tc.hidden,
-                "lr": tc.lr,
-                "batch": tc.batch_size,
-                "epochs": tc.epochs,
-                "sample": tc.train_sample,
-                "ablate": list(tc.feature.ablate),
-                "resample_negatives": tc.resample_negatives,
-            },
+            "train": asdict(tc),
         }
     )
     run_stage(
@@ -364,8 +366,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
         train_key,
         [model_path, log_path],
         lambda: train_stage(
-            cfg, corpus, graphs, train_ids, model_path, log_path,
-            precomputed=read_feature_artifacts(feat_dir),
+            cfg, corpus, graphs, train_ids, read_feature_artifacts(feat_dir),
+            model_path, log_path,
         ),
     )
     artifacts["model"] = model_path
@@ -470,30 +472,29 @@ def train_stage(
     corpus: MultiParallelCorpus,
     graphs: Mapping[str, AlignmentGraph],
     train_ids: Sequence[str],
+    fitted: tuple[FeatureStandardizer, dict, np.ndarray],
     model_path: Path,
-    log_path: Path | None = None,
-    precomputed: tuple[FeatureStandardizer, dict, np.ndarray] | None = None,
+    log_path: Path,
 ) -> None:
+    """Train on *train_ids*, featurized with *fitted* (the output of
+    :func:`features_stage`), and write the checkpoint and the loss log."""
     tc = cfg.train_config()
-    if precomputed is None:
-        precomputed = features_stage(corpus, graphs, train_ids, tc.feature.word_dim)
-    standardizer, vocab, word_table = precomputed
+    standardizer, vocab, word_table = fitted
     lang_index = {lang: i for i, lang in enumerate(corpus.languages)}
     feats = featurize_ids(graphs, train_ids, standardizer, lang_index, vocab, tc.feature)
     result = train_model(feats, tc, len(corpus.languages), len(vocab), word_table)
     save_checkpoint(
         model_path, result.params, standardizer, corpus.languages, vocab, tc
     )
-    if log_path is not None:
-        log_path.write_text(
-            json.dumps(
-                {
-                    "batch_losses": result.batch_losses,
-                    "n_sentences": len(result.sentences_used),
-                }
-            )
-            + "\n"
+    log_path.write_text(
+        json.dumps(
+            {
+                "batch_losses": result.batch_losses,
+                "n_sentences": len(result.sentences_used),
+            }
         )
+        + "\n"
+    )
 
 
 def align_with_model(

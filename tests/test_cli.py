@@ -1,7 +1,12 @@
+import dataclasses
 import json
+
 import pytest
 
+from mpalign import cli
 from mpalign.cli import main
+from mpalign.pipeline import PipelineConfig
+from mpalign.synth import SynthConfig
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +207,128 @@ def test_align_and_eval_commands(synth_dir, tmp_path):
     ])
     assert rc == 0
     assert (tmp_path / "eval.tsv").read_text().count("\n") == 2
+
+
+def test_train_then_align(synth_dir, tmp_path):
+    """`train` needs no language pair, and writes the checkpoint and log that
+    `pipeline` writes with the same settings; `align` applies it."""
+    from mpalign.checkpoint import load_checkpoint
+
+    run = tmp_path / "run"
+    rc = main([
+        "train", "--data", str(synth_dir), "--out", str(run),
+        "--train-ids", str(synth_dir / "train_ids.txt"), "--hidden", "32", "--seed", "3",
+    ])
+    assert rc == 0
+    _, _, _, _, cfg = load_checkpoint(run / "model.mpwa")
+    assert (cfg.hidden, cfg.seed) == (32, 3)
+    aligned = tmp_path / "test.align"
+    rc = main([
+        "align", "--data", str(synth_dir), "--model", str(run / "model.mpwa"),
+        "--pair", "l00,l01", "--out", str(aligned),
+        "--test-ids", str(synth_dir / "test_ids.txt"),
+    ])
+    assert rc == 0
+
+    piped = tmp_path / "pipeline"
+    assert run_pipeline(synth_dir, piped) == 0
+    for name in ("model.mpwa", "train_log.json"):
+        assert (run / name).read_bytes() == (piped / name).read_bytes()
+    assert aligned.read_bytes() == (piped / "l00-l01.tgdfa.align").read_bytes()
+
+
+# every PipelineConfig field but the two paths: (flag, argument, parsed value),
+# each value other than the field's default
+PIPELINE_FLAGS = {
+    "pair": ("--pair", "a,b", ("a", "b")),
+    "gold": ("--gold", "g.gold", "g.gold"),
+    "orig": ("--orig", "o.align", "o.align"),
+    "train_ids": ("--train-ids", "train.txt", "train.txt"),
+    "test_ids": ("--test-ids", "test.txt", "test.txt"),
+    "one_based": ("--one-based", None, True),
+    "alpha": ("--alpha", "3.5", 3.5),
+    "method": ("--method", "tgdfa+orig", "tgdfa+orig"),
+    "threshold_on": ("--threshold-on", "prob", "prob"),
+    "lr": ("--lr", "0.02", 0.02),
+    "batch_size": ("--batch-size", "17", 17),
+    "epochs": ("--epochs", "3", 3),
+    "train_sample": ("--train-sample", "99", 99),
+    "seed": ("--seed", "7", 7),
+    "hidden": ("--hidden", "24", 24),
+    "ablate": ("--ablate", "word,language", ("word", "language")),
+    "resample_negatives": ("--fixed-negatives", None, False),
+    "gamma": ("--gamma", "1.5", 1.5),
+    "lpc_portion": ("--lpc-portion", "0.7", 0.7),
+    "lpc_max_iters": ("--lpc-max-iters", "12", 12),
+    "standardize": ("--standardize", "per-graph", "per-graph"),
+    "eval_bins": ("--eval-bins", "4", 4),
+}
+
+
+def parse_pipeline(*flags):
+    args = cli.build_parser().parse_args(["pipeline", "--data", "d", "--out", "o", *flags])
+    return cli._pipeline_config(args, args.out)
+
+
+def test_every_pipeline_flag_sets_its_config_field():
+    names = {f.name for f in dataclasses.fields(PipelineConfig)} - {"data_dir", "out_dir"}
+    assert set(PIPELINE_FLAGS) == names
+    argv = [
+        item for flag, arg, _ in PIPELINE_FLAGS.values() for item in (flag, arg) if item
+    ]
+    cfg = parse_pipeline(*argv)
+    default = PipelineConfig(data_dir="d", out_dir="o")
+    for name, (flag, _, value) in PIPELINE_FLAGS.items():
+        assert getattr(default, name) != value, flag
+        assert getattr(cfg, name) == value, flag
+    assert setting_dests("pipeline") == names
+
+
+def test_omitted_pipeline_flags_take_dataclass_defaults():
+    cfg = parse_pipeline("--pair", "a,b")
+    assert cfg == PipelineConfig(data_dir="d", out_dir="o", pair=("a", "b"))
+
+
+def setting_dests(command):
+    """The dests of a subcommand's flags, less its paths and non-config flags."""
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    dests = {a.dest for a in sub.choices[command]._actions}
+    return dests - {"help", "data", "out", "model", "algorithm"}
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [("synth", SynthConfig), ("communities", PipelineConfig), ("train", PipelineConfig),
+     ("align", PipelineConfig), ("pipeline", PipelineConfig)],
+)
+def test_every_setting_flag_names_a_config_field(command, config):
+    # a flag whose dest names no field would be dropped without a word
+    assert setting_dests(command) <= {f.name for f in dataclasses.fields(config)}
+
+
+def test_synth_flags_set_their_config_fields():
+    def parse(*flags):
+        args = cli.build_parser().parse_args(["synth", "--out", "o", *flags])
+        return SynthConfig(**cli._fields(args, SynthConfig))
+
+    assert parse() == SynthConfig()
+    assert parse(
+        "--sentences", "7", "--languages", "3", "--vocab", "20", "--len-min", "2",
+        "--len-max", "5", "--edge-drop", "0.1", "--edge-noise", "0.2", "--seed", "4",
+        "--test-size", "2",
+    ) == SynthConfig(
+        n_sentences=7, n_languages=3, vocab=20, len_min=2, len_max=5,
+        edge_drop_rate=0.1, edge_noise_rate=0.2, seed=4, n_test=2,
+    )
+
+
+def test_pipeline_without_pair_fails_before_any_stage(tmp_path):
+    from mpalign.pipeline import run_pipeline as run
+
+    cfg = PipelineConfig(data_dir=str(tmp_path), out_dir=str(tmp_path / "o"))
+    with pytest.raises(ValueError, match="needs a language pair"):
+        run(cfg)
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("extra", [(), ("--standardize", "per-graph")],

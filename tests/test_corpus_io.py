@@ -130,6 +130,42 @@ class TestPharaoh:
         assert again.links == {sid: set(s) for sid, s in links.items()}
 
 
+class TestTabbedLines:
+    """The one line reader behind every loader: ``sid<TAB>payload`` lines,
+    with a bare id allowed only in alignment and gold files."""
+
+    def test_bare_id_is_an_empty_link_list(self, tmp_path):
+        path = write(tmp_path, "a.align", "v1\nv2\t0-0\n")
+        assert load_pharaoh(path, ("a", "b")).links == {"v1": set(), "v2": {(0, 0)}}
+        gold = load_gold(write(tmp_path, "g.gold", "v1\n"), ("a", "b"))
+        assert gold.possible == {"v1": set()}
+
+    @pytest.mark.parametrize(
+        "load",
+        [
+            lambda path: load_pharaoh(path, ("a", "b")),
+            load_gold,
+            load_pos_tagged,
+            lambda path: load_corpus({"a": path}),
+        ],
+        ids=["pharaoh", "gold", "pos", "corpus"],
+    )
+    @pytest.mark.parametrize(
+        "text,message",
+        [("\nv1 0-0\n", "missing tab separator"), ("\n\t0-0\n", "empty sentence id")],
+        ids=["no-tab", "no-id"],
+    )
+    def test_errors_name_file_and_line(self, tmp_path, load, text, message):
+        path = write(tmp_path, "x.txt", text)
+        with pytest.raises(CorpusFormatError, match=f"x.txt:2: {message}"):
+            load(path)
+
+    def test_bare_id_rejected_in_corpus(self, tmp_path):
+        path = write(tmp_path, "a.txt", "v1\n")
+        with pytest.raises(CorpusFormatError, match="a.txt:1: missing tab separator"):
+            load_corpus({"a": path})
+
+
 class TestGold:
     def test_sure_and_possible(self, tmp_path):
         path = write(tmp_path, "g.gold", "v1\t0-0 1?2\n")
