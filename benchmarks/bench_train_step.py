@@ -81,7 +81,7 @@ def timed_step(sf, config, params, opt, pairs) -> dict[str, float]:
 
 def run_suite(hidden=512):
     sf, config, params, pairs = make_step_inputs(hidden)
-    opt = gnn.AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
+    opt = gnn.AdamW(params, lr=config.lr, frozen=gnn.frozen_param_names(config.feature))
     for _ in range(WARMUP):
         timed_step(sf, config, params, opt, pairs)
     samples = [timed_step(sf, config, params, opt, pairs) for _ in range(REPEATS)]

@@ -72,10 +72,19 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        # copy the first gradient: the same array may be handed to other tensors
-        if self.grad is None:
-            self.grad = np.array(grad, dtype=self.data.dtype)
+    def _accumulate(self, grad: np.ndarray, rows: slice | None = None) -> None:
+        """Add *grad* to ``self.grad``, or to its *rows* only.
+
+        A first gradient is stored as it is, and later ones are added in
+        place, so a caller hands over an array no other tensor holds: the
+        backward functions copy the ones they share (``__add__``, ``concat``).
+        """
+        if rows is not None:
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            self.grad[rows] += grad
+        elif self.grad is None:
+            self.grad = np.asarray(grad, dtype=self.data.dtype)
         else:
             self.grad += grad
 
@@ -109,10 +118,10 @@ class Tensor:
         other = _as_tensor(other, self.dtype)
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.data.shape))
+            for t in (self, other):
+                if t.requires_grad:
+                    part = _unbroadcast(g, t.data.shape)
+                    t._accumulate(part.copy() if part is g else part)
 
         return Tensor(self.data + other.data, parents=(self, other), backward=backward)
 
@@ -289,10 +298,7 @@ def narrow(x: Tensor, start: int, stop: int) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            # writes in place: safe because _accumulate gives x.grad its own copy
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[start:stop] += g
+            x._accumulate(g, rows=slice(start, stop))
 
     return Tensor(x.data[start:stop], parents=(x,), backward=backward)
 
@@ -306,7 +312,7 @@ def concat(parts: list[Tensor], axis: int = 1) -> Tensor:
             if p.requires_grad:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(a, b)
-                p._accumulate(g[tuple(sl)])
+                p._accumulate(g[tuple(sl)].copy())
 
     return Tensor(
         np.concatenate([p.data for p in parts], axis=axis),

@@ -15,10 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from .features import FeatureConfig, FeatureStandardizer
-from .gnn import PARAM_NAMES, TrainConfig
+from .gnn import PARAM_NAMES, TrainConfig, param_shapes
 
 MAGIC = b"MPWA"
-VERSION = 2
+VERSION = 3
 
 _DTYPES = {0: "<f4", 1: "<f8", 2: "<i4", 3: "<i8"}
 _DTYPE_CODES = {np.dtype(v): k for k, v in _DTYPES.items()}
@@ -92,7 +92,6 @@ def save_checkpoint(
 
 def _config_dict(cfg: TrainConfig) -> dict:
     d = asdict(cfg)
-    d["betas"] = list(d["betas"])
     d["feature"]["ablate"] = list(d["feature"]["ablate"])
     return d
 
@@ -100,9 +99,7 @@ def _config_dict(cfg: TrainConfig) -> dict:
 def _config_from_dict(d: dict) -> TrainConfig:
     feat = dict(d["feature"])
     feat["ablate"] = tuple(feat["ablate"])
-    return TrainConfig(
-        **{**d, "betas": tuple(d["betas"]), "feature": FeatureConfig(**feat)}
-    )
+    return TrainConfig(**{**d, "feature": FeatureConfig(**feat)})
 
 
 def load_checkpoint(path: str | Path):
@@ -134,28 +131,7 @@ def load_checkpoint(path: str | Path):
 
 
 def _validate_shapes(params, cfg: TrainConfig, n_languages: int, vocab_size: int) -> None:
-    fc = cfg.feature
-    h = cfg.hidden
-    expected = {
-        "gat1.W": (fc.input_dim, h),
-        "gat1.a": (2 * h, 1),
-        "gat2.W": (h, h),
-        "gat2.a": (2 * h, 1),
-        "enc.W": (h, h),
-        "enc.b": (1, h),
-        "dec1.W": (2 * h, h),
-        "dec1.b": (1, h),
-        "dec2.W": (h, 1),
-        "dec2.b": (1, 1),
-        "feat.cent_w": (5, fc.cent_dim),
-        "feat.cent_b": (5, fc.cent_dim),
-        "feat.comm_gmc": (fc.comm_table, fc.comm_dim),
-        "feat.comm_lpc": (fc.comm_table, fc.comm_dim),
-        "feat.pos": (fc.pos_table, fc.pos_dim),
-        "feat.lang": (n_languages, fc.lang_dim),
-        "feat.word": (vocab_size + 1, fc.word_dim),
-    }
-    for name, shape in expected.items():
+    for name, shape in param_shapes(cfg, n_languages, vocab_size).items():
         if params[name].shape != shape:
             raise CheckpointError(
                 f"dimension mismatch for {name}: stored {params[name].shape}, "

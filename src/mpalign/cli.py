@@ -12,8 +12,8 @@ from pathlib import Path
 
 from . import pipeline as pl
 from .corpus import load_gold, load_pharaoh, load_pos_tagged
-from .evaluation import frequency_bins, score
-from .features import FeatureConfig
+from .evaluation import eval_table
+from .features import WORD_DIM
 from .graph import dump_graph
 from .projection import ProjectionSource, filter_x, project, write_conll
 from .synth import SynthConfig, generate, write_synth
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--train-ids")
     p.add_argument("--word-tsv", action="store_true",
-                   help="also dump word vectors as lang word v1..v100")
+                   help=f"also dump word vectors as lang word v1..v{WORD_DIM}")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("train", help="train the link predictor")
@@ -231,9 +231,7 @@ def cmd_communities(args) -> int:
 def cmd_features(args) -> int:
     corpus, graphs = _load_graphs(args)
     ids = pl.select_ids(args.train_ids, graphs)
-    standardizer, vocab, table = pl.features_stage(
-        corpus, graphs, ids, FeatureConfig.word_dim
-    )
+    standardizer, vocab, table = pl.features_stage(corpus, graphs, ids)
     out = Path(args.out)
     pl.write_feature_artifacts(out, standardizer, vocab, table)
     if args.word_tsv:
@@ -249,7 +247,7 @@ def cmd_train(args) -> int:
     cfg = _pipeline_config(args, args.out)
     corpus, graphs = _load_graphs(args)
     ids = pl.select_ids(cfg.train_ids, graphs)
-    fitted = pl.features_stage(corpus, graphs, ids, FeatureConfig.word_dim)
+    fitted = pl.features_stage(corpus, graphs, ids)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model_path = out / "model.mpwa"
@@ -278,24 +276,11 @@ def cmd_eval(args) -> int:
             raise SystemExit("--bins requires --data for corpus frequencies")
         corpus, _ = pl.load_inputs(args.data, one_based=args.one_based)
 
-    lines = []
-    header = "method\tprecision\trecall\tf1\taer\tmacro_f1"
-    if args.bins:
-        header += "".join(f"\tf1_bin{b}" for b in range(1, args.bins + 1))
-    lines.append(header)
+    runs = []
     for name, path in zip(names, args.pred):
         aset = load_pharaoh(path, args.pair, one_based=args.one_based)
-        preds = {sid: aset.links.get(sid, set()) for sid in gold.possible}
-        rep = score(preds, gold)
-        line = (
-            f"{name}\t{rep.precision:.6f}\t{rep.recall:.6f}\t{rep.f1:.6f}"
-            f"\t{rep.aer:.6f}\t{rep.macro_f1:.6f}"
-        )
-        if args.bins:
-            for bin_rep in frequency_bins(preds, gold, corpus, args.pair[0], args.bins):
-                line += "\t" + (f"{bin_rep.f1:.6f}" if bin_rep is not None else "-")
-        lines.append(line)
-    text = "\n".join(lines) + "\n"
+        runs.append((name, {sid: aset.links.get(sid, set()) for sid in gold.possible}))
+    text = eval_table(runs, gold, corpus, args.pair[0], args.bins)
     if args.out:
         Path(args.out).write_text(text)
     else:

@@ -6,7 +6,7 @@ as a secondary statistic.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -149,6 +149,29 @@ def frequency_bins(
                 occupied = True
         reports.append(score(pred_b, gold_b) if occupied else None)
     return reports
+
+
+def eval_table(
+    runs: Sequence[tuple[str, Mapping[str, LinkSet]]],
+    gold: GoldAlignment,
+    corpus: MultiParallelCorpus | None,
+    source_lang: str,
+    n_bins: int,
+) -> str:
+    """TSV of precision, recall, F1, AER and macro F1 for each named set of
+    predictions, then the F1 of each of *n_bins* frequency bins of
+    *source_lang*'s words (``-`` when empty; *corpus* is needed only for
+    bins); values have six decimals."""
+    header = ["method", "precision", "recall", "f1", "aer", "macro_f1"]
+    lines = ["\t".join(header + [f"f1_bin{b}" for b in range(1, n_bins + 1)])]
+    for name, preds in runs:
+        rep = score(preds, gold)
+        cells = [name] + [f"{getattr(rep, col):.6f}" for col in header[1:]]
+        if n_bins:
+            bins = frequency_bins(preds, gold, corpus, source_lang, n_bins=n_bins)
+            cells += [f"{b.f1:.6f}" if b is not None else "-" for b in bins]
+        lines.append("\t".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def community_links(

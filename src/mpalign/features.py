@@ -1,9 +1,10 @@
-"""Node features: centralities, z-scoring, co-occurrence word vectors, assembly.
+"""Node features: centralities, z-scoring, co-occurrence word vectors, layout.
 
 Every node of a sentence graph is described by five graph centralities
-(z-scored and lifted to 4 dims each by a learned affine map), two community
-memberships (32-dim embeddings for each detector), token position (32),
-language (20) and word identity (100), concatenated to a 236-dim input vector.
+(z-scored, each lifted by a learned affine map), two community memberships
+(an embedding per detector), token position, language and word identity,
+concatenated to a 236-dim input vector by ``gnn.assemble``. The widths and
+table sizes of that layout are the constants below.
 """
 
 import math
@@ -21,14 +22,22 @@ from .graph import AlignmentGraph
 
 CENTRALITY_NAMES = ("degree", "closeness", "betweenness", "load", "harmonic")
 
+# the model's input layout: every width and table size is written here once
+CENT_DIM = 4  # each centrality is lifted to 4 dims by a learned affine map
+COMM_DIM = 32  # per detector
+POS_DIM = 32
+LANG_DIM = 20
+WORD_DIM = 100
+POS_TABLE = 160  # positions clamp at POS_TABLE - 1
+COMM_TABLE = 257  # community ids cap at COMM_TABLE - 2, last row = overflow
+
 BLOCK_WIDTHS = {
-    "centrality": 20,  # 5 centralities x 4
-    "community": 64,  # 32 per detector
-    "position": 32,
-    "language": 20,
-    "word": 100,
+    "centrality": len(CENTRALITY_NAMES) * CENT_DIM,
+    "community": 2 * COMM_DIM,  # GMC and LPC
+    "position": POS_DIM,
+    "language": LANG_DIM,
+    "word": WORD_DIM,
 }
-BLOCK_ORDER = ("centrality", "community", "position", "language", "word")
 
 
 def centralities(g: AlignmentGraph) -> np.ndarray:
@@ -39,7 +48,8 @@ def centralities(g: AlignmentGraph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureStandardizer:
-    """Per-centrality mean/std over all nodes of the training graphs."""
+    """Per-centrality mean/std over all nodes of the training graphs, or of
+    one graph in per-graph mode."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -58,24 +68,8 @@ class FeatureStandardizer:
         return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
 
 
-def per_graph_standardize(x: np.ndarray) -> np.ndarray:
-    """Alternative scaling mode: z-score within a single graph's nodes."""
-    x = np.asarray(x, dtype=np.float64)
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    std = np.where(std > 0.0, std, 1.0)
-    return (x - mean) / std
-
-
 @dataclass(frozen=True)
 class FeatureConfig:
-    cent_dim: int = 4
-    comm_dim: int = 32
-    pos_dim: int = 32
-    lang_dim: int = 20
-    word_dim: int = 100
-    pos_table: int = 160  # positions clamp at pos_table - 1
-    comm_table: int = 257  # community ids cap at comm_table - 2, last row = overflow
     ablate: tuple[str, ...] = ()
     gamma: float = 1.0  # GMC modularity resolution
     lpc_seed: int = 0  # base of the per-sentence LPC seeds
@@ -98,57 +92,9 @@ class FeatureConfig:
         return sum(w for b, w in BLOCK_WIDTHS.items() if self.active(b))
 
 
-@dataclass
-class FeatureEmbeddings:
-    """Learnable feature-lift parameters (owned by the model, grouped here)."""
-
-    cent_w: np.ndarray  # (5, 4)
-    cent_b: np.ndarray  # (5, 4)
-    comm_gmc: np.ndarray  # (comm_table, 32)
-    comm_lpc: np.ndarray  # (comm_table, 32)
-    pos: np.ndarray  # (pos_table, 32)
-    lang: np.ndarray  # (n_languages, 20)
-    word: np.ndarray  # (vocab+1, 100), last row = UNK
-
-
 def community_indices(p: Partition, cap: int) -> np.ndarray:
     """Canonical community ids clipped into the embedding table (overflow bucket last)."""
     return np.minimum(p.labels, cap).astype(np.int64)
-
-
-def assemble_features(
-    z_cent: np.ndarray,
-    comm_gmc_idx: np.ndarray,
-    comm_lpc_idx: np.ndarray,
-    pos_idx: np.ndarray,
-    lang_idx: np.ndarray,
-    word_idx: np.ndarray,
-    emb: FeatureEmbeddings,
-    config: FeatureConfig,
-) -> np.ndarray:
-    """Reference (non-differentiable) assembly of the per-node input matrix."""
-    n = z_cent.shape[0]
-    if lang_idx.size and (lang_idx.min() < 0 or lang_idx.max() >= emb.lang.shape[0]):
-        raise ValueError("language index outside the embedding table")
-    blocks = []
-    if config.active("centrality"):
-        cent = [
-            z_cent[:, k : k + 1] * emb.cent_w[k : k + 1, :] + emb.cent_b[k : k + 1, :]
-            for k in range(len(CENTRALITY_NAMES))
-        ]
-        blocks.append(np.concatenate(cent, axis=1))
-    if config.active("community"):
-        blocks.append(emb.comm_gmc[comm_gmc_idx])
-        blocks.append(emb.comm_lpc[comm_lpc_idx])
-    if config.active("position"):
-        blocks.append(emb.pos[pos_idx])
-    if config.active("language"):
-        blocks.append(emb.lang[lang_idx])
-    if config.active("word"):
-        blocks.append(emb.word[word_idx])
-    out = np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
-    assert out.shape[1] == config.input_dim
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +117,7 @@ def build_word_vocab(
 def train_word_embeddings(
     corpus: MultiParallelCorpus,
     vocab: Mapping[tuple[str, str], int],
-    dim: int = 100,
+    dim: int = WORD_DIM,
     sentence_ids: Sequence[str] | None = None,
     dense_cutoff: int = 4_000_000,
 ) -> np.ndarray:
@@ -298,15 +244,12 @@ def featurize(
     """Compute every constant model input for one sentence graph."""
     raw = centralities(g)
     if config.standardize == "per-graph":
-        z = per_graph_standardize(raw)
-    else:
-        if standardizer is None:
-            raise ValueError("global scaling requires a fitted standardizer")
-        z = standardizer.apply(raw)
+        standardizer = FeatureStandardizer.fit([raw])
+    elif standardizer is None:
+        raise ValueError("global scaling requires a fitted standardizer")
 
     p_gmc = partition(g, "gmc", config)
     p_lpc = partition(g, "lpc", config)
-    cap = config.comm_table - 1
     unk = len(vocab)
     lang_idx = np.empty(g.n, dtype=np.int64)
     word_idx = np.empty(g.n, dtype=np.int64)
@@ -319,10 +262,10 @@ def featurize(
     center, nbr, starts = attention_slots(g)
     return SentenceFeatures(
         graph=g,
-        z_cent=z,
-        comm_gmc=community_indices(p_gmc, cap),
-        comm_lpc=community_indices(p_lpc, cap),
-        pos_idx=np.minimum(g.node_pos, config.pos_table - 1),
+        z_cent=standardizer.apply(raw),
+        comm_gmc=community_indices(p_gmc, COMM_TABLE - 1),
+        comm_lpc=community_indices(p_lpc, COMM_TABLE - 1),
+        pos_idx=np.minimum(g.node_pos, POS_TABLE - 1),
         lang_idx=lang_idx,
         word_idx=word_idx,
         att_center=center,

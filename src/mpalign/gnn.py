@@ -19,8 +19,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .features import (
-    BLOCK_WIDTHS,
+    CENT_DIM,
     CENTRALITY_NAMES,
+    COMM_DIM,
+    COMM_TABLE,
+    LANG_DIM,
+    POS_DIM,
+    POS_TABLE,
+    WORD_DIM,
     FeatureConfig,
     SentenceFeatures,
     derive_seed,
@@ -67,9 +73,6 @@ class NonFiniteGradientError(RuntimeError):
 class TrainConfig:
     hidden: int = 512
     lr: float = 1e-3
-    betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.01
     batch_size: int = 400
     epochs: int = 1
     train_sample: int = 6400
@@ -83,6 +86,33 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
     return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
+def param_shapes(
+    config: TrainConfig, n_languages: int, vocab_size: int
+) -> dict[str, tuple[int, int]]:
+    """The shape of every parameter, in PARAM_NAMES order."""
+    h = config.hidden
+    n_cent = len(CENTRALITY_NAMES)
+    return {
+        "gat1.W": (config.feature.input_dim, h),
+        "gat1.a": (2 * h, 1),
+        "gat2.W": (h, h),
+        "gat2.a": (2 * h, 1),
+        "enc.W": (h, h),
+        "enc.b": (1, h),
+        "dec1.W": (2 * h, h),
+        "dec1.b": (1, h),
+        "dec2.W": (h, 1),
+        "dec2.b": (1, 1),
+        "feat.cent_w": (n_cent, CENT_DIM),
+        "feat.cent_b": (n_cent, CENT_DIM),
+        "feat.comm_gmc": (COMM_TABLE, COMM_DIM),
+        "feat.comm_lpc": (COMM_TABLE, COMM_DIM),
+        "feat.pos": (POS_TABLE, POS_DIM),
+        "feat.lang": (n_languages, LANG_DIM),
+        "feat.word": (vocab_size + 1, WORD_DIM),  # last row = UNK
+    }
+
+
 def init_params(
     config: TrainConfig,
     n_languages: int,
@@ -93,39 +123,18 @@ def init_params(
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases; the word table
     comes from the co-occurrence SVD when supplied. Ablated feature blocks are
     zeroed (and later frozen by the optimizer)."""
-    fc = config.feature
-    d_in = fc.input_dim
-    h = config.hidden
-    params = {
-        "gat1.W": _xavier(rng, d_in, h, (d_in, h)),
-        "gat1.a": _xavier(rng, 2 * h, 1, (2 * h, 1)),
-        "gat2.W": _xavier(rng, h, h, (h, h)),
-        "gat2.a": _xavier(rng, 2 * h, 1, (2 * h, 1)),
-        "enc.W": _xavier(rng, h, h, (h, h)),
-        "enc.b": np.zeros((1, h), dtype=np.float32),
-        "dec1.W": _xavier(rng, 2 * h, h, (2 * h, h)),
-        "dec1.b": np.zeros((1, h), dtype=np.float32),
-        "dec2.W": _xavier(rng, h, 1, (h, 1)),
-        "dec2.b": np.zeros((1, 1), dtype=np.float32),
-        "feat.cent_w": _xavier(rng, 1, fc.cent_dim, (5, fc.cent_dim)),
-        "feat.cent_b": np.zeros((5, fc.cent_dim), dtype=np.float32),
-        "feat.comm_gmc": _xavier(
-            rng, fc.comm_table, fc.comm_dim, (fc.comm_table, fc.comm_dim)
-        ),
-        "feat.comm_lpc": _xavier(
-            rng, fc.comm_table, fc.comm_dim, (fc.comm_table, fc.comm_dim)
-        ),
-        "feat.pos": _xavier(rng, fc.pos_table, fc.pos_dim, (fc.pos_table, fc.pos_dim)),
-        "feat.lang": _xavier(rng, n_languages, fc.lang_dim, (n_languages, fc.lang_dim)),
-        "feat.word": (
-            word_table.astype(np.float32)
-            if word_table is not None
-            else _xavier(rng, vocab_size + 1, fc.word_dim, (vocab_size + 1, fc.word_dim))
-        ),
-    }
-    for block in fc.ablate:
-        for name in _BLOCK_PARAMS[block]:
-            params[name] = np.zeros_like(params[name])
+    params = {}
+    for name, shape in param_shapes(config, n_languages, vocab_size).items():
+        if name.endswith((".b", "_b")):
+            params[name] = np.zeros(shape, dtype=np.float32)
+        elif name == "feat.word" and word_table is not None:
+            params[name] = word_table.astype(np.float32)
+        else:
+            # each centrality's lift reads one scalar: fan-in 1
+            fan_in = 1 if name == "feat.cent_w" else shape[0]
+            params[name] = _xavier(rng, fan_in, shape[1], shape)
+    for name in frozen_param_names(config.feature):
+        params[name] = np.zeros_like(params[name])
     return params
 
 
@@ -374,15 +383,7 @@ def train_model(
         usable = [usable[i] for i in sorted(idx)]
 
     params = init_params(config, n_languages, vocab_size, rng, word_table)
-    frozen = frozen_param_names(config.feature)
-    opt = AdamW(
-        params,
-        lr=config.lr,
-        betas=config.betas,
-        eps=config.adam_eps,
-        weight_decay=config.weight_decay,
-        frozen=frozen,
-    )
+    opt = AdamW(params, lr=config.lr, frozen=frozen_param_names(config.feature))
 
     losses: list[float] = []
     for epoch in range(config.epochs):

@@ -324,16 +324,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
     artifacts["communities_lpc"] = comm_paths[1]
 
     # -- features stage -------------------------------------------------------
-    tc = cfg.train_config()
     feat_dir = out / "features"
-    feat_key = stage_key(
-        {
-            **base,
-            "stage": "features",
-            "train_ids": train_ids,
-            "word_dim": tc.feature.word_dim,
-        }
-    )
+    feat_key = stage_key({**base, "stage": "features", "train_ids": train_ids})
     feat_paths = [
         feat_dir / "standardizer.json",
         feat_dir / "word_vocab.json",
@@ -344,7 +336,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
         feat_key,
         feat_paths,
         lambda: write_feature_artifacts(
-            feat_dir, *features_stage(corpus, graphs, train_ids, tc.feature.word_dim)
+            feat_dir, *features_stage(corpus, graphs, train_ids)
         ),
     )
     artifacts["features"] = feat_dir
@@ -358,7 +350,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
             "stage": "train",
             "features_key": feat_key,
             "train_ids": train_ids,
-            "train": asdict(tc),
+            "train": asdict(cfg.train_config()),
         }
     )
     run_stage(
@@ -424,15 +416,12 @@ def features_stage(
     corpus: MultiParallelCorpus,
     graphs: Mapping[str, AlignmentGraph],
     train_ids: Sequence[str],
-    word_dim: int,
 ) -> tuple[FeatureStandardizer, dict, np.ndarray]:
     train_graphs = {sid: graphs[sid] for sid in train_ids}
     raw_cent = compute_centralities(train_graphs, train_ids)
     standardizer = FeatureStandardizer.fit([raw_cent[sid] for sid in train_ids])
     vocab = build_word_vocab(corpus, train_ids)
-    word_table = train_word_embeddings(
-        corpus, vocab, dim=word_dim, sentence_ids=train_ids
-    )
+    word_table = train_word_embeddings(corpus, vocab, sentence_ids=train_ids)
     return standardizer, vocab, word_table
 
 
@@ -543,30 +532,14 @@ def evaluate_predictions(
         gold.sure[sid] = gold_all.sure.get(sid, set())
         gold.possible[sid] = gold_all.possible[sid]
 
-    rows = []
+    runs = []
     input_path = discover_alignment_files(cfg.data_dir).get(tuple(cfg.pair))
     if input_path is not None:
         baseline = load_pharaoh(input_path, cfg.pair, one_based=cfg.one_based)
-        preds = {sid: baseline.links.get(sid, set()) for sid in keep}
-        rows.append(("input", evaluation.score(preds, gold), preds))
+        runs.append(("input", {sid: baseline.links.get(sid, set()) for sid in keep}))
     predicted = load_pharaoh(align_path, cfg.pair)
-    preds = {sid: predicted.links.get(sid, set()) for sid in keep}
-    rows.append((f"gnn-{cfg.method}", evaluation.score(preds, gold), preds))
-
-    with open(eval_path, "w", encoding="utf-8") as fh:
-        header = "method\tprecision\trecall\tf1\taer\tmacro_f1"
-        if cfg.eval_bins:
-            header += "".join(f"\tf1_bin{b}" for b in range(1, cfg.eval_bins + 1))
-        fh.write(header + "\n")
-        for name, report, preds in rows:
-            line = (
-                f"{name}\t{report.precision:.6f}\t{report.recall:.6f}"
-                f"\t{report.f1:.6f}\t{report.aer:.6f}\t{report.macro_f1:.6f}"
-            )
-            if cfg.eval_bins:
-                bins = evaluation.frequency_bins(
-                    preds, gold, corpus, cfg.pair[0], n_bins=cfg.eval_bins
-                )
-                for rep in bins:
-                    line += "\t" + (f"{rep.f1:.6f}" if rep is not None else "-")
-            fh.write(line + "\n")
+    runs.append(
+        (f"gnn-{cfg.method}", {sid: predicted.links.get(sid, set()) for sid in keep})
+    )
+    table = evaluation.eval_table(runs, gold, corpus, cfg.pair[0], cfg.eval_bins)
+    eval_path.write_text(table, encoding="utf-8")

@@ -284,3 +284,24 @@ def loss_scalar(p_pos, p_neg, eps: float = 1e-7) -> float:
     if len(p_neg):
         total += -sum(math.log(clamp(1.0 - p)) for p in p_neg) / len(p_neg)
     return total
+
+
+def assemble_reference(sf, params, config) -> np.ndarray:
+    """Node input rows by plain table lookup: each z-scored centrality times
+    its lift row plus its bias row, then the GMC, LPC, position, language and
+    word rows of the blocks *config* keeps."""
+    n = sf.z_cent.shape[0]
+    blocks = []
+    if config.active("centrality"):
+        lift = sf.z_cent[:, :, None] * params["feat.cent_w"] + params["feat.cent_b"]
+        blocks.append(lift.reshape(n, -1))
+    if config.active("community"):
+        blocks.append(params["feat.comm_gmc"][sf.comm_gmc])
+        blocks.append(params["feat.comm_lpc"][sf.comm_lpc])
+    if config.active("position"):
+        blocks.append(params["feat.pos"][sf.pos_idx])
+    if config.active("language"):
+        blocks.append(params["feat.lang"][sf.lang_idx])
+    if config.active("word"):
+        blocks.append(params["feat.word"][sf.word_idx])
+    return np.concatenate(blocks, axis=1)

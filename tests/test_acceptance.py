@@ -114,24 +114,15 @@ def test_03_centrality_oracle():
 
 @criterion(4, "assembled features are 236-dim; ablations remove exact widths")
 def test_04_feature_shape():
-    from test_features import tiny_embeddings
-
-    assert FeatureConfig().input_dim == 236
-    for block, width in BLOCK_WIDTHS.items():
-        config = FeatureConfig(ablate=(block,))
-        assert config.input_dim == 236 - width
-        from mpalign.features import assemble_features
-
-        emb = tiny_embeddings(config)
-        idx = np.zeros(2, dtype=np.int64)
-        out = assemble_features(np.zeros((2, 5)), idx, idx, idx, idx, idx, emb, config)
-        assert out.shape == (2, 236 - width)
-    full = FeatureConfig(ablate=())
     sf, vocab, _ = make_bundle()
-    cfg = gnn.TrainConfig(hidden=8, feature=full)
-    params = gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(0))
-    x = gnn.assemble(sf, gnn.as_leaves(params), full)
-    assert x.data.shape[1] == 236
+    for ablate in [()] + [(block,) for block in BLOCK_WIDTHS]:
+        config = FeatureConfig(ablate=ablate)
+        width = 236 - sum(BLOCK_WIDTHS[b] for b in ablate)
+        assert config.input_dim == width
+        cfg = gnn.TrainConfig(hidden=8, feature=config)
+        params = gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(0))
+        x = gnn.assemble(sf, gnn.as_leaves(params), config)
+        assert x.data.shape == (sf.graph.n, width)
 
 
 @criterion(5, "analytic gradients match central finite differences (64-bit)")

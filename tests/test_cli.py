@@ -5,6 +5,8 @@ import pytest
 
 from mpalign import cli
 from mpalign.cli import main
+from mpalign.features import FeatureConfig
+from mpalign.gnn import TrainConfig
 from mpalign.pipeline import PipelineConfig
 from mpalign.synth import SynthConfig
 
@@ -282,6 +284,16 @@ def test_every_pipeline_flag_sets_its_config_field():
         assert getattr(default, name) != value, flag
         assert getattr(cfg, name) == value, flag
     assert setting_dests("pipeline") == names
+
+
+def test_every_model_setting_has_a_pipeline_field():
+    # a TrainConfig or FeatureConfig field that no PipelineConfig field (and so
+    # no flag) sets would be a setting that nothing can change
+    pipeline = {f.name for f in dataclasses.fields(PipelineConfig)}
+    train = {f.name for f in dataclasses.fields(TrainConfig)} - {"feature"}
+    feature = {f.name for f in dataclasses.fields(FeatureConfig)} - {"lpc_seed"}
+    assert train <= pipeline
+    assert feature <= pipeline
 
 
 def test_omitted_pipeline_flags_take_dataclass_defaults():

@@ -256,10 +256,11 @@ class TestCheckpoint:
     def test_old_version_refused(self, tmp_path):
         path, *_ = self.make(tmp_path)
         data = bytearray(path.read_bytes())
-        data[4:8] = struct.pack("<I", 1)
-        path.write_bytes(bytes(data))
-        with pytest.raises(CheckpointError, match="unsupported version 1"):
-            load_checkpoint(path)
+        for old in (1, 2):
+            data[4:8] = struct.pack("<I", old)
+            path.write_bytes(bytes(data))
+            with pytest.raises(CheckpointError, match=f"unsupported version {old}"):
+                load_checkpoint(path)
 
     def test_featurization_round_trip(self, tmp_path):
         path, *_, cfg = self.make(tmp_path, gamma=1.5, lpc_seed=13, lpc_portion=0.7,

@@ -1,22 +1,29 @@
 import numpy as np
 import pytest
 
+from mpalign import gnn
 from mpalign.corpus import MultiParallelCorpus
 from mpalign.features import (
     BLOCK_WIDTHS,
+    POS_TABLE,
     FeatureConfig,
-    FeatureEmbeddings,
     FeatureStandardizer,
-    assemble_features,
+    SentenceFeatures,
+    attention_slots,
     build_word_vocab,
     centralities,
     featurize,
-    per_graph_standardize,
     train_word_embeddings,
 )
 from mpalign.graph import AlignmentGraph
 
-from oracles import arbitrary_graph, centralities_bruteforce, random_graph, random_tree
+from oracles import (
+    arbitrary_graph,
+    assemble_reference,
+    centralities_bruteforce,
+    random_graph,
+    random_tree,
+)
 
 
 class TestCentralities:
@@ -84,83 +91,80 @@ class TestStandardizer:
         np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-6)
         np.testing.assert_allclose(z.std(axis=0), 1.0, atol=1e-6)
 
-    def test_per_graph_mode(self, rng):
-        x = rng.normal(size=(6, 5))
-        z = per_graph_standardize(x)
-        np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-12)
+    def test_per_graph_mode(self):
+        # a path with a chord: every centrality varies across the nodes
+        g = arbitrary_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
+        lang_index = {lang: i for i, lang in enumerate(g.languages)}
+        sf = featurize(g, None, lang_index, {}, FeatureConfig(standardize="per-graph"))
+        np.testing.assert_allclose(sf.z_cent.mean(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(sf.z_cent.std(axis=0), 1.0, atol=1e-12)
 
 
-def tiny_embeddings(config: FeatureConfig, n_lang=2, vocab=3, seed=0):
-    rng = np.random.default_rng(seed)
-    return FeatureEmbeddings(
-        cent_w=rng.normal(size=(5, config.cent_dim)),
-        cent_b=rng.normal(size=(5, config.cent_dim)),
-        comm_gmc=rng.normal(size=(config.comm_table, config.comm_dim)),
-        comm_lpc=rng.normal(size=(config.comm_table, config.comm_dim)),
-        pos=rng.normal(size=(config.pos_table, config.pos_dim)),
-        lang=rng.normal(size=(n_lang, config.lang_dim)),
-        word=rng.normal(size=(vocab + 1, config.word_dim)),
+def node_bundle(z_cent, gmc=0, lpc=0, pos=0, lang=0, word=0) -> SentenceFeatures:
+    """Nodes with the given centralities and table rows. The assembly reads no
+    graph structure, so the graph is edgeless."""
+    n = len(z_cent)
+    g = AlignmentGraph("s", {"eng": [f"w{i}" for i in range(n)]}, [])
+    center, nbr, starts = attention_slots(g)
+
+    def idx(row):
+        return np.full(n, row, dtype=np.int64)
+
+    return SentenceFeatures(
+        g, np.asarray(z_cent, dtype=np.float64), idx(gmc), idx(lpc), idx(pos),
+        idx(lang), idx(word), center, nbr, starts,
     )
 
 
-class TestAssembly:
-    def assemble(self, config, n=3):
-        emb = tiny_embeddings(config)
-        z = np.linspace(-1, 1, n * 5).reshape(n, 5)
-        idx = np.zeros(n, dtype=np.int64)
-        return assemble_features(z, idx, idx, idx, idx, idx, emb, config)
+def assembled(config: FeatureConfig, sf: SentenceFeatures, n_lang=2, vocab=3, seed=0):
+    """The rows ``gnn.assemble`` builds for *sf*, and the parameters it read:
+    ``init_params``' tables, with non-zero centrality biases."""
+    cfg = gnn.TrainConfig(hidden=8, feature=config)
+    params = gnn.init_params(cfg, n_lang, vocab, np.random.default_rng(seed))
+    shape = params["feat.cent_b"].shape
+    params["feat.cent_b"] = np.random.default_rng(seed + 1).normal(size=shape).astype(np.float32)
+    return gnn.assemble(sf, gnn.as_leaves(params), config).data, params
 
+
+class TestAssembly:
     def test_default_dimension_is_236(self):
         assert FeatureConfig().input_dim == 236
-        assert self.assemble(FeatureConfig()).shape == (3, 236)
+        out, _ = assembled(FeatureConfig(), node_bundle(np.zeros((3, 5))))
+        assert out.shape == (3, 236)
 
     @pytest.mark.parametrize("block", sorted(BLOCK_WIDTHS))
     def test_each_ablation_removes_its_width(self, block):
         config = FeatureConfig(ablate=(block,))
         assert config.input_dim == 236 - BLOCK_WIDTHS[block]
-        assert self.assemble(config).shape[1] == 236 - BLOCK_WIDTHS[block]
+        out, _ = assembled(config, node_bundle(np.zeros((3, 5))))
+        assert out.shape == (3, 236 - BLOCK_WIDTHS[block])
 
     def test_identical_nodes_identical_vectors(self):
-        config = FeatureConfig()
-        emb = tiny_embeddings(config)
-        z = np.zeros((2, 5))
-        idx = np.zeros(2, dtype=np.int64)
-        out = assemble_features(z, idx, idx, idx, idx, idx, emb, config)
+        out, _ = assembled(FeatureConfig(), node_bundle(np.full((2, 5), 0.3), 4, 5, 6, 1, 2))
         np.testing.assert_array_equal(out[0], out[1])
 
     def test_unknown_word_uses_unk_row(self):
-        config = FeatureConfig()
-        emb = tiny_embeddings(config, vocab=3)
-        z = np.zeros((1, 5))
-        idx = np.zeros(1, dtype=np.int64)
-        unk = np.array([3], dtype=np.int64)  # rows 0..2 are words, 3 is UNK
-        out = assemble_features(z, idx, idx, idx, idx, unk, emb, config)
-        np.testing.assert_array_equal(out[0, -config.word_dim :], emb.word[3])
-
-    def test_unknown_language_rejected(self):
-        config = FeatureConfig()
-        emb = tiny_embeddings(config, n_lang=2)
-        z = np.zeros((1, 5))
-        idx = np.zeros(1, dtype=np.int64)
-        bad = np.array([7], dtype=np.int64)
-        with pytest.raises(ValueError, match="language index"):
-            assemble_features(z, idx, idx, idx, bad, idx, emb, config)
+        # rows 0..2 are words, 3 is UNK
+        out, params = assembled(FeatureConfig(), node_bundle(np.zeros((1, 5)), word=3), vocab=3)
+        assert params["feat.word"].shape[0] == 4
+        np.testing.assert_array_equal(out[0, -BLOCK_WIDTHS["word"] :], params["feat.word"][3])
 
     def test_block_order(self):
-        config = FeatureConfig()
-        emb = tiny_embeddings(config)
-        z = np.ones((1, 5))
-        idx = np.zeros(1, dtype=np.int64)
-        out = assemble_features(z, idx, idx, idx, idx, idx, emb, config)
+        z = np.random.default_rng(4).normal(size=(1, 5))
+        sf = node_bundle(z, gmc=3, lpc=5, pos=7, lang=1, word=2)
+        out, params = assembled(FeatureConfig(), sf)
         cent = np.concatenate(
-            [z[:, k] * emb.cent_w[k] + emb.cent_b[k] for k in range(5)]
+            [z[0, k] * params["feat.cent_w"][k] + params["feat.cent_b"][k] for k in range(5)]
         )
-        np.testing.assert_allclose(out[0, :20], cent)
-        np.testing.assert_array_equal(out[0, 20:52], emb.comm_gmc[0])
-        np.testing.assert_array_equal(out[0, 52:84], emb.comm_lpc[0])
-        np.testing.assert_array_equal(out[0, 84:116], emb.pos[0])
-        np.testing.assert_array_equal(out[0, 116:136], emb.lang[0])
-        np.testing.assert_array_equal(out[0, 136:236], emb.word[0])
+        np.testing.assert_allclose(out[0, :20], cent, rtol=1e-6)
+        np.testing.assert_array_equal(out[0, 20:52], params["feat.comm_gmc"][3])
+        np.testing.assert_array_equal(out[0, 52:84], params["feat.comm_lpc"][5])
+        np.testing.assert_array_equal(out[0, 84:116], params["feat.pos"][7])
+        np.testing.assert_array_equal(out[0, 116:136], params["feat.lang"][1])
+        np.testing.assert_array_equal(out[0, 136:236], params["feat.word"][2])
+        np.testing.assert_allclose(
+            out, assemble_reference(sf, params, FeatureConfig()), rtol=1e-6
+        )
 
 
 def corpus_from(sentences):
@@ -251,7 +255,7 @@ class TestFeaturize:
         config = FeatureConfig()
         sf = featurize(g, std, {"eng": 0, "fra": 1}, {}, config)
         assert sf.z_cent.shape == (201, 5)
-        assert sf.pos_idx.max() == config.pos_table - 1  # clamped
+        assert sf.pos_idx.max() == POS_TABLE - 1  # clamped
         assert sf.word_idx.max() == 0  # everything unknown -> UNK row 0 of empty vocab
         assert sf.att_center.shape == sf.att_nbr.shape
         assert sf.att_starts.shape == (201,)

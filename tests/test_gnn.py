@@ -14,7 +14,13 @@ from mpalign.features import (
 )
 from mpalign.graph import AlignmentGraph
 
-from oracles import arbitrary_graph, gat_scalar, loss_scalar, random_graph
+from oracles import (
+    arbitrary_graph,
+    assemble_reference,
+    gat_scalar,
+    loss_scalar,
+    random_graph,
+)
 
 
 def make_bundle(seed=0, n_eng=3, n_fra=3, edges=None):
@@ -331,8 +337,12 @@ class TestTraining:
         assert cfg.lr == pytest.approx(1e-3)
         assert cfg.hidden == 512
         assert cfg.epochs == 1
-        assert cfg.betas == (0.9, 0.999)
-        assert cfg.weight_decay == pytest.approx(0.01)
+        # the optimizer's remaining settings are AdamW's own defaults
+        opt = gnn.AdamW({})
+        assert opt.lr == cfg.lr
+        assert (opt.b1, opt.b2) == (0.9, 0.999)
+        assert opt.eps == pytest.approx(1e-8)
+        assert opt.weight_decay == pytest.approx(0.01)
 
     def test_loss_decreases_on_planted_corpus(self):
         from mpalign.pipeline import build_all_graphs, compute_centralities
@@ -395,8 +405,6 @@ class TestGradientCheck:
         # attention logits forced equal (a = 0): the encoder collapses to
         # fixed neighborhood averaging, so the gradients of the affine path
         # have a closed form we can derive by hand and compare exactly
-        from mpalign.features import FeatureEmbeddings, assemble_features
-
         sf, vocab, fc = make_bundle()
         cfg = gnn.TrainConfig(hidden=16, feature=fc)
         params = {
@@ -411,15 +419,7 @@ class TestGradientCheck:
         b = len(us)
 
         # independent numpy forward with uniform attention
-        emb = FeatureEmbeddings(
-            params["feat.cent_w"], params["feat.cent_b"],
-            params["feat.comm_gmc"], params["feat.comm_lpc"],
-            params["feat.pos"], params["feat.lang"], params["feat.word"],
-        )
-        x = assemble_features(
-            sf.z_cent, sf.comm_gmc, sf.comm_lpc, sf.pos_idx, sf.lang_idx,
-            sf.word_idx, emb, fc,
-        )
+        x = assemble_reference(sf, params, fc)
         avg = np.eye(g.n)
         for u, v in g.edges:
             avg[u, v] = avg[v, u] = 1.0
