@@ -8,6 +8,7 @@ the nodes to the most frequent neighbor label, smallest label on ties).
 inside a community is linked, every inter-community edge is dropped.
 """
 
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -172,6 +173,12 @@ class CdStats:
     edge_removal_fraction: float
 
 
+def derive_seed(base: int, tag: str) -> int:
+    """Stable per-sentence/per-purpose RNG seed."""
+    digest = hashlib.blake2s(f"{base}:{tag}".encode()).digest()
+    return int.from_bytes(digest[:8], "little")
+
+
 def detect(g: AlignmentGraph, algorithm: str, *, gamma: float = 1.0, seed: int = 0,
            portion: float = 0.5, max_iters: int = 100) -> Partition:
     """Run one detector by name; edgeless graphs fall back to singletons."""
@@ -208,7 +215,9 @@ def cd_stats(
     for g in graphs:
         _, before = kernels.connected_component_labels(g.indptr, g.indices, g.n)
         comp_before.append(before)
-        p = detect(g, algorithm, gamma=gamma, seed=seed, portion=portion, max_iters=max_iters)
+        # seeded per sentence, as features.partition seeds the runs the model sees
+        p = detect(g, algorithm, gamma=gamma, seed=derive_seed(seed, f"lpc:{g.sentence_id}"),
+                   portion=portion, max_iters=max_iters)
         refined = refine_edges(g, p)
         _, after = kernels.connected_component_labels(
             refined.indptr, refined.indices, refined.n

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from . import kernels
-from .communities import Partition, detect
+from .communities import Partition, derive_seed, detect
 from .corpus import MultiParallelCorpus
 from .graph import AlignmentGraph
 
@@ -199,27 +199,12 @@ class SentenceFeatures:
 
 def attention_slots(g: AlignmentGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Self slot plus one slot per neighbor for every node, grouped by node."""
-    center, nbr, starts = [], [], []
-    for v in range(g.n):
-        starts.append(len(center))
-        center.append(v)
-        nbr.append(v)
-        for w in g.neighbors(v):
-            center.append(v)
-            nbr.append(int(w))
-    return (
-        np.asarray(center, dtype=np.int64),
-        np.asarray(nbr, dtype=np.int64),
-        np.asarray(starts, dtype=np.int64),
-    )
-
-
-def derive_seed(base: int, tag: str) -> int:
-    """Stable per-sentence/per-purpose RNG seed."""
-    import hashlib
-
-    digest = hashlib.blake2s(f"{base}:{tag}".encode()).digest()
-    return int.from_bytes(digest[:8], "little")
+    nodes = np.arange(g.n, dtype=np.int64)
+    center = np.repeat(nodes, g.degrees + 1)
+    nbr = np.insert(g.indices, g.indptr[:-1], nodes)
+    # node v's slots start after the self slots of nodes 0..v-1
+    starts = g.indptr[:-1] + nodes
+    return center, nbr, starts
 
 
 def partition(g: AlignmentGraph, algorithm: str, config: FeatureConfig) -> Partition:

@@ -305,3 +305,68 @@ def assemble_reference(sf, params, config) -> np.ndarray:
     if config.active("word"):
         blocks.append(params["feat.word"][sf.word_idx])
     return np.concatenate(blocks, axis=1)
+
+
+def attention_slots_reference(g: AlignmentGraph):
+    """Self slot plus one slot per neighbor for every node, one node at a time."""
+    center, nbr, starts = [], [], []
+    for v in range(g.n):
+        starts.append(len(center))
+        center.append(v)
+        nbr.append(v)
+        for w in g.neighbors(v):
+            center.append(v)
+            nbr.append(int(w))
+    return (
+        np.asarray(center, dtype=np.int64),
+        np.asarray(nbr, dtype=np.int64),
+        np.asarray(starts, dtype=np.int64),
+    )
+
+
+def sample_negatives_reference(sf, us, vs, rng):
+    """Negatives drawn one side at a time: the v side, then the u side of each
+    positive, one scalar ``rng.integers`` call per side with two or more tokens."""
+    g = sf.graph
+    neg_u, neg_v = [], []
+    for u, v in zip(us, vs):
+        lu = g.languages[g.node_lang[u]]
+        lv = g.languages[g.node_lang[v]]
+        start_u, count_u = g.offsets[lu]
+        start_v, count_v = g.offsets[lv]
+        if count_v >= 2:
+            j = int(rng.integers(count_v - 1))
+            if start_v + j >= v:
+                j += 1
+            neg_u.append(u)
+            neg_v.append(start_v + j)
+        if count_u >= 2:
+            i = int(rng.integers(count_u - 1))
+            if start_u + i >= u:
+                i += 1
+            neg_u.append(start_u + i)
+            neg_v.append(v)
+    return np.asarray(neg_u, dtype=np.int64), np.asarray(neg_v, dtype=np.int64)
+
+
+def adamw_reference(params, grads, m, v, t, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
+                    weight_decay=0.01, frozen=()):
+    """One AdamW step (Loshchilov & Hutter 2019) on whole arrays, one parameter
+    at a time, updating *params*, *m* and *v* in place; returns the new step
+    count. A missing gradient counts as zero."""
+    b1, b2 = betas
+    t += 1
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    for name, p in params.items():
+        if name in frozen:
+            continue
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(p)
+        if weight_decay:
+            p -= lr * weight_decay * p
+        m[name] += (1.0 - b1) * (g - m[name])
+        v[name] += (1.0 - b2) * (g * g - v[name])
+        p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+    return t

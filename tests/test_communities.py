@@ -200,6 +200,27 @@ class TestRefineEdges:
 
 
 class TestCdStats:
+    def test_lpc_runs_seeded_per_sentence_as_features(self):
+        from mpalign.features import FeatureConfig, partition
+        from mpalign.graph import build_graph, connected_components
+        from mpalign.synth import SynthConfig, generate
+
+        # noisy enough that LPC's result depends on its seed
+        res = generate(SynthConfig(n_sentences=10, n_languages=6, vocab=60, len_min=8,
+                                   len_max=8, edge_drop_rate=0.3, edge_noise_rate=0.05,
+                                   seed=1))
+        graphs = [
+            build_graph(sid, res.corpus.sentences[sid], list(res.alignments.values()))
+            for sid in sorted(res.corpus.sentences)
+        ]
+        config = FeatureConfig(lpc_seed=0)
+        counts = [
+            len(connected_components(refine_edges(g, partition(g, "lpc", config))))
+            for g in graphs
+        ]
+        stats = cd_stats(graphs, "lpc", seed=0)
+        assert stats.mean_components == np.mean(counts)
+
     def test_trivial_two_components(self):
         g = arbitrary_graph(4, [(0, 1), (2, 3)])
         stats = cd_stats([g], "gmc")

@@ -20,6 +20,7 @@ from mpalign.graph import AlignmentGraph
 from oracles import (
     arbitrary_graph,
     assemble_reference,
+    attention_slots_reference,
     centralities_bruteforce,
     random_graph,
     random_tree,
@@ -265,3 +266,28 @@ class TestFeaturize:
         std = FeatureStandardizer(np.zeros(5), np.ones(5))
         with pytest.raises(ValueError, match="language"):
             featurize(g, std, {"eng": 0}, {}, FeatureConfig())
+
+
+class TestAttentionSlots:
+    @staticmethod
+    def assert_matches_reference(g):
+        got = attention_slots(g)
+        want = attention_slots_reference(g)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.int64
+            np.testing.assert_array_equal(a, b)
+
+    def test_matches_reference_on_random_graphs(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 25))
+            self.assert_matches_reference(random_graph(rng, n, float(rng.uniform(0.0, 0.6))))
+
+    def test_isolated_nodes_single_node_and_edgeless(self):
+        # nodes 0, 3 and 5 are isolated, at the start, middle and end
+        self.assert_matches_reference(arbitrary_graph(6, [(1, 2), (1, 4), (2, 4)]))
+        self.assert_matches_reference(arbitrary_graph(1, []))
+        self.assert_matches_reference(arbitrary_graph(5, []))
+        center, nbr, starts = attention_slots(arbitrary_graph(3, []))
+        np.testing.assert_array_equal(center, [0, 1, 2])
+        np.testing.assert_array_equal(nbr, [0, 1, 2])
+        np.testing.assert_array_equal(starts, [0, 1, 2])

@@ -15,11 +15,13 @@ from mpalign.features import (
 from mpalign.graph import AlignmentGraph
 
 from oracles import (
+    adamw_reference,
     arbitrary_graph,
     assemble_reference,
     gat_scalar,
     loss_scalar,
     random_graph,
+    sample_negatives_reference,
 )
 
 
@@ -305,6 +307,69 @@ class TestAdamW:
         assert p["f"][0] == 1.0 and p["w"][0] != 1.0
 
 
+    @pytest.mark.parametrize("weight_decay", [0.01, 0.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_reference_bitwise(self, dtype, weight_decay):
+        # hidden 512: gat1.W spans three chunks plus a tail, dec1.W sixteen whole chunks
+        shapes = gnn.param_shapes(gnn.TrainConfig(hidden=512), 8, 400)
+        rng = np.random.default_rng(3)
+        params = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+        ref = {k: p.copy() for k, p in params.items()}
+        m = {k: np.zeros_like(p) for k, p in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        frozen = {"feat.pos"}
+        opt = gnn.AdamW(params, lr=0.01, weight_decay=weight_decay, frozen=frozen)
+        t = 0
+        for step in range(20):
+            # gradients of mixed scales; feat.lang has none on every third step
+            grads = {
+                k: (rng.normal(size=s) * 10.0 ** rng.integers(-4, 2)).astype(dtype)
+                for k, s in shapes.items()
+                if not (k == "feat.lang" and step % 3 == 0)
+            }
+            opt.step(grads)
+            t = adamw_reference(ref, grads, m, v, t, lr=0.01, weight_decay=weight_decay,
+                                frozen=frozen)
+        assert opt.t == t == 20
+        for k in shapes:
+            assert params[k].dtype == dtype
+            assert params[k].tobytes() == ref[k].tobytes(), k
+            assert opt.m[k].tobytes() == m[k].tobytes(), k
+            assert opt.v[k].tobytes() == v[k].tobytes(), k
+
+    def test_nonfinite_gradient_changes_nothing(self):
+        rng = np.random.default_rng(0)
+        shapes = {"a": (300, 200), "b": (5,), "c": (40_000,)}
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        opt = gnn.AdamW(params)
+        for _ in range(2):
+            opt.step({k: rng.normal(size=s) for k, s in shapes.items()})
+        before = [
+            {k: a.copy() for k, a in state.items()} for state in (params, opt.m, opt.v)
+        ]
+        grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+        grads["c"][-1] = np.nan  # in the last chunk of the last parameter
+        with pytest.raises(gnn.NonFiniteGradientError, match="for c"):
+            opt.step(grads)
+        assert opt.t == 2
+        for saved, state in zip(before, (params, opt.m, opt.v)):
+            for k in shapes:
+                assert state[k].tobytes() == saved[k].tobytes(), k
+
+    def test_rejects_what_it_cannot_update_in_place(self):
+        p = {"a": np.ones((2, 3)), "b": np.ones(4)}
+        opt = gnn.AdamW(p)
+        with pytest.raises(ValueError, match="shape"):
+            opt.step({"a": np.ones((1, 3)), "b": np.ones(4)})
+        assert opt.t == 0 and np.all(p["a"] == 1.0) and np.all(p["b"] == 1.0)
+        with pytest.raises(ValueError, match="dtype"):
+            gnn.AdamW({"a": np.zeros(2), "b": np.zeros(2, dtype=np.float32)})
+        with pytest.raises(ValueError, match="contiguous"):
+            gnn.AdamW({"a": np.zeros((4, 4))[:, ::2]})
+        # frozen parameters are never updated, so they are not checked
+        gnn.AdamW({"a": np.zeros(2), "b": np.zeros((4, 4))[:, ::2]}, frozen={"b"})
+
+
 class TestNegativeSampling:
     def test_forced_choice_on_2x2(self):
         sf, *_ = make_bundle(n_eng=2, n_fra=2, edges=[[0, 2]])
@@ -327,6 +392,32 @@ class TestNegativeSampling:
         # negatives stay inside the sentence and the language pair
         for u, v in zip(nus, nvs):
             assert sf.graph.node_lang[u] == 0 and sf.graph.node_lang[v] == 1
+
+
+    def test_matches_reference_draw_for_draw(self):
+        rng = np.random.default_rng(7)
+        for trial in range(60):
+            # 2-6 languages of 1-9 tokens: single-token languages yield no side
+            lengths = rng.integers(1, 10, size=int(rng.integers(2, 7)))
+            tokens = {f"l{i}": [f"w{j}" for j in range(k)] for i, k in enumerate(lengths)}
+            g = AlignmentGraph("s", tokens, np.empty((0, 2), dtype=np.int64))
+            lang = g.node_lang
+            pairs = [
+                (u, v) for u in range(g.n) for v in range(g.n)
+                if lang[u] != lang[v] and rng.random() < 0.3
+            ]
+            if not pairs:
+                continue
+            us, vs = np.array(pairs).T
+            sf = raw_bundle(g)
+            got_rng = np.random.default_rng(trial)
+            ref_rng = np.random.default_rng(trial)
+            got = gnn.sample_negatives(sf, us, vs, got_rng)
+            want = sample_negatives_reference(sf, us, vs, ref_rng)
+            for a, b in zip(got, want):
+                assert a.dtype == np.int64
+                np.testing.assert_array_equal(a, b)
+            assert got_rng.integers(1 << 62) == ref_rng.integers(1 << 62)
 
 
 class TestTraining:
