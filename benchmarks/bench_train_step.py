@@ -7,7 +7,8 @@ and runs the step ``train_model`` runs for it: encode, decode of the positives
 and their negatives, loss, backward and the AdamW update. Each layer is timed
 in each of ``REPEATS`` steps (after ``WARMUP`` warm-up steps).
 Prints the best and the median in ms with the spread (upper minus lower
-quartile) per layer, or one JSON object with ``--json``.
+quartile) per layer, and the minor page faults per timed step, or one JSON
+object with ``--json``.
 """
 
 import argparse
@@ -84,7 +85,9 @@ def run_suite(hidden=512):
     opt = gnn.AdamW(params, lr=config.lr, frozen=gnn.frozen_param_names(config.feature))
     for _ in range(WARMUP):
         timed_step(sf, config, params, opt, pairs)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     samples = [timed_step(sf, config, params, opt, pairs) for _ in range(REPEATS)]
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     results = {
         "nodes": sf.graph.n,
         "pairs": len(pairs[0]) + len(pairs[2]),
@@ -97,6 +100,7 @@ def run_suite(hidden=512):
         results[f"{name}_best_ms"] = float(ms.min())
         results[f"{name}_median_ms"] = float(med)
         results[f"{name}_iqr_ms"] = float(q3 - q1)
+    results["minor_faults_per_step"] = faults / REPEATS
     results["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return results
 
@@ -119,6 +123,7 @@ def main():
             f"  {name:>9}  {results[f'{name}_best_ms']:8.2f}  "
             f"{results[f'{name}_median_ms']:9.2f}  {results[f'{name}_iqr_ms']:7.2f}"
         )
+    print(f"  minor page faults per step {results['minor_faults_per_step']:.1f}")
     print(f"  peak RSS {results['peak_rss_mb']:.1f} MB")
 
 

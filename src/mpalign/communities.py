@@ -8,10 +8,9 @@ the nodes to the most frequent neighbor label, smallest label on ties).
 inside a community is linked, every inter-community edge is dropped.
 """
 
-import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,14 +41,7 @@ class Partition:
     @classmethod
     def from_labels(cls, raw: Sequence[int]) -> "Partition":
         """Canonicalize arbitrary labels: communities numbered by ascending smallest member."""
-        raw = np.asarray(raw, dtype=np.int64)
-        first_seen: dict[int, int] = {}
-        for v, lab in enumerate(raw.tolist()):
-            if lab not in first_seen:
-                first_seen[lab] = v
-        order = sorted(first_seen, key=first_seen.get)
-        remap = {lab: i for i, lab in enumerate(order)}
-        return cls(np.array([remap[lab] for lab in raw.tolist()], dtype=np.int64))
+        return cls(kernels.canonical_labels(raw))
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
@@ -153,16 +145,9 @@ def lpc(
 
 def refine_edges(g: AlignmentGraph, p: Partition) -> AlignmentGraph:
     """Clique-complete each community across languages; drop inter-community edges."""
-    pairs = []
-    for group in p.members():
-        for ai in range(len(group)):
-            u = group[ai]
-            for bi in range(ai + 1, len(group)):
-                v = group[bi]
-                if g.node_lang[u] != g.node_lang[v]:
-                    pairs.append((u, v) if u < v else (v, u))
-    edges = np.array(sorted(set(pairs)), dtype=np.int64).reshape(-1, 2)
-    return g.with_edges(edges)
+    # an (n, n) mask: a few MB at paper scale (n = 2,100)
+    linked = (p.labels[:, None] == p.labels) & (g.node_lang[:, None] != g.node_lang)
+    return g.with_edges(np.argwhere(np.triu(linked, k=1)))
 
 
 @dataclass(frozen=True)
@@ -173,15 +158,13 @@ class CdStats:
     edge_removal_fraction: float
 
 
-def derive_seed(base: int, tag: str) -> int:
-    """Stable per-sentence/per-purpose RNG seed."""
-    digest = hashlib.blake2s(f"{base}:{tag}".encode()).digest()
-    return int.from_bytes(digest[:8], "little")
+def detect(g: AlignmentGraph, algorithm: str, *, gamma: float, seed: int,
+           portion: float, max_iters: int) -> Partition:
+    """Run one detector by name; edgeless graphs fall back to singletons.
 
-
-def detect(g: AlignmentGraph, algorithm: str, *, gamma: float = 1.0, seed: int = 0,
-           portion: float = 0.5, max_iters: int = 100) -> Partition:
-    """Run one detector by name; edgeless graphs fall back to singletons."""
+    ``features.partition`` is the one caller: it takes the settings from the
+    run's ``FeatureConfig`` and seeds LPC per sentence.
+    """
     if algorithm == "gmc":
         if g.m == 0:
             return Partition.singletons(g.n)
@@ -192,17 +175,12 @@ def detect(g: AlignmentGraph, algorithm: str, *, gamma: float = 1.0, seed: int =
 
 
 def cd_stats(
-    graphs: Iterable[AlignmentGraph],
-    algorithm: str,
-    *,
-    gamma: float = 1.0,
-    seed: int = 0,
-    portion: float = 0.5,
-    max_iters: int = 100,
+    graphs: Iterable[AlignmentGraph], partitions: Mapping[str, Partition]
 ) -> CdStats:
-    """Mean component counts before/after refinement, mean sentence length, and
-    the fraction of original edges removed as inter-community links (clique
-    additions are not counted)."""
+    """Mean component counts before/after refining each graph with its
+    partition (keyed by sentence id), mean sentence length, and the fraction of
+    original edges removed as inter-community links (clique additions are not
+    counted)."""
     graphs = list(graphs)
     if not graphs:
         raise ValueError("cd_stats needs at least one graph")
@@ -215,9 +193,7 @@ def cd_stats(
     for g in graphs:
         _, before = kernels.connected_component_labels(g.indptr, g.indices, g.n)
         comp_before.append(before)
-        # seeded per sentence, as features.partition seeds the runs the model sees
-        p = detect(g, algorithm, gamma=gamma, seed=derive_seed(seed, f"lpc:{g.sentence_id}"),
-                   portion=portion, max_iters=max_iters)
+        p = partitions[g.sentence_id]
         refined = refine_edges(g, p)
         _, after = kernels.connected_component_labels(
             refined.indptr, refined.indices, refined.n

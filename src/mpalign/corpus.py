@@ -32,9 +32,6 @@ class MultiParallelCorpus:
     sentences: dict[str, dict[str, list[str]]]
     dropped_ids: int = 0
 
-    def tokens(self, sentence_id: str, lang: str) -> list[str]:
-        return self.sentences[sentence_id][lang]
-
     def sentence_ids(self) -> list[str]:
         return sorted(self.sentences)
 

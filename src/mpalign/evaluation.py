@@ -10,9 +10,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .communities import refine_edges
+from .communities import Partition, refine_edges
 from .corpus import GoldAlignment, MultiParallelCorpus
-from .features import FeatureConfig, partition
 from .graph import AlignmentGraph
 
 LinkSet = set[tuple[int, int]]
@@ -175,40 +174,32 @@ def eval_table(
 
 
 def community_links(
-    g: AlignmentGraph, partition, lang_pair: tuple[str, str]
+    g: AlignmentGraph, partition: Partition, lang_pair: tuple[str, str]
 ) -> LinkSet:
     """Pair links implied by a community partition (refined clique edges)."""
     la, lb = lang_pair
     if la not in g.offsets or lb not in g.offsets:
         return set()
-    refined = refine_edges(g, partition)
-    links: LinkSet = set()
-    la_idx = g.languages.index(la)
-    lb_idx = g.languages.index(lb)
-    for u, v in refined.edges:
-        lu, lv = g.node_lang[u], g.node_lang[v]
-        if lu == la_idx and lv == lb_idx:
-            links.add((int(g.node_pos[u]), int(g.node_pos[v])))
-        elif lu == lb_idx and lv == la_idx:
-            links.add((int(g.node_pos[v]), int(g.node_pos[u])))
-    return links
+    edges = refine_edges(g, partition).edges
+    edges = np.concatenate([edges, edges[:, ::-1]])  # both orientations
+    keep = (g.node_lang[edges[:, 0]] == g.languages.index(la)) & (
+        g.node_lang[edges[:, 1]] == g.languages.index(lb)
+    )
+    pos = g.node_pos[edges[keep]]
+    return set(zip(pos[:, 0].tolist(), pos[:, 1].tolist()))
 
 
 def community_alignment_eval(
     graphs: Iterable[AlignmentGraph],
-    algorithm: str,
+    partitions: Mapping[str, Partition],
     gold: GoldAlignment,
     lang_pair: tuple[str, str],
-    *,
-    gamma: float = 1.0,
-    seed: int = 0,
 ) -> EvalReport:
-    """Score the links a community detector implies for one language pair."""
-    config = FeatureConfig(gamma=gamma, lpc_seed=seed)
-    predicted: dict[str, LinkSet] = {}
-    for g in graphs:
-        if g.sentence_id not in gold.possible:
-            continue
-        p = partition(g, algorithm, config)
-        predicted[g.sentence_id] = community_links(g, p, lang_pair)
+    """Score the links that each gold sentence's partition (keyed by sentence
+    id) implies for one language pair."""
+    predicted = {
+        g.sentence_id: community_links(g, partitions[g.sentence_id], lang_pair)
+        for g in graphs
+        if g.sentence_id in gold.possible
+    }
     return score(predicted, gold)

@@ -7,6 +7,7 @@ concatenated to a 236-dim input vector by ``gnn.assemble``. The widths and
 table sizes of that layout are the constants below.
 """
 
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -16,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from . import kernels
-from .communities import Partition, derive_seed, detect
+from .communities import Partition, detect
 from .corpus import MultiParallelCorpus
 from .graph import AlignmentGraph
 
@@ -207,8 +208,15 @@ def attention_slots(g: AlignmentGraph) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return center, nbr, starts
 
 
+def derive_seed(base: int, tag: str) -> int:
+    """Stable per-sentence/per-purpose RNG seed."""
+    digest = hashlib.blake2s(f"{base}:{tag}".encode()).digest()
+    return int.from_bytes(digest[:8], "little")
+
+
 def partition(g: AlignmentGraph, algorithm: str, config: FeatureConfig) -> Partition:
-    """One detector's partition of ``g``, seeded per sentence for LPC."""
+    """One detector's partition of ``g``, seeded per sentence for LPC: the one
+    call of ``communities.detect``, so every analysis sees the same partitions."""
     return detect(
         g,
         algorithm,

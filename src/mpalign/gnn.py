@@ -11,7 +11,7 @@ positives and samples two in-sentence negatives per positive.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -432,7 +432,6 @@ def train_model(
     n_languages: int,
     vocab_size: int,
     word_table: np.ndarray | None = None,
-    progress: Callable[[int, float], None] | None = None,
 ) -> TrainResult:
     """One (or more) epochs over the sentence graphs.
 
@@ -461,15 +460,12 @@ def train_model(
             srng = np.random.default_rng(
                 derive_seed(config.seed, f"batch:{epoch_tag}:{sf.graph.sentence_id}")
             )
-            nrng = srng
             for us, vs in edge_batches(sf, config.batch_size, srng):
-                neg_u, neg_v = sample_negatives(sf, us, vs, nrng)
+                neg_u, neg_v = sample_negatives(sf, us, vs, srng)
                 loss, P = _forward_loss(sf, params, config.feature, us, vs, neg_u, neg_v)
                 loss.backward()
                 opt.step({name: t.grad for name, t in P.items()})
                 losses.append(float(loss.data))
-                if progress is not None:
-                    progress(len(losses), losses[-1])
     return TrainResult(
         params=params,
         batch_losses=losses,

@@ -1,8 +1,9 @@
 """Graph kernels: BFS distances, components, centralities, label-propagation counts.
 
-All kernels take the CSR adjacency (``indptr``, ``indices``; int64) of an
-undirected, loop-free graph and are written as numpy/scipy array code with no
-per-node or per-edge Python loop.
+All kernels are numpy/scipy array code with no per-node or per-edge Python
+loop. Apart from ``canonical_labels``, which renumbers a labeling, they take
+the CSR adjacency (``indptr``, ``indices``; int64) of an undirected,
+loop-free graph.
 
 Distances and centralities run a level-synchronous BFS from many sources at
 once: a block of ``SOURCE_BLOCK`` sources is an (n, block) matrix, and one BFS
@@ -27,21 +28,23 @@ def _adjacency(indptr, indices, n) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
 
 
-def connected_component_labels(indptr, indices, n):
-    """Label nodes by connected component (labels in discovery order) and count them.
+def canonical_labels(raw):
+    """Renumber arbitrary integer labels 0..K-1 by each label's smallest member."""
+    raw = np.asarray(raw, dtype=np.int64)
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse]
 
-    Discovery order, as a BFS started from each unlabeled node in turn assigns
-    it, numbers the components by their smallest member.
-    """
+
+def connected_component_labels(indptr, indices, n):
+    """Label nodes by connected component, numbered by smallest member, and count them."""
     if n == 0:
         return np.empty(0, np.int64), 0
     count, raw = csgraph.connected_components(
         _adjacency(indptr, indices, n), directed=False
     )
-    _, first = np.unique(raw, return_index=True)
-    rank = np.empty(count, np.int64)
-    rank[np.argsort(first)] = np.arange(count)
-    return rank[raw], int(count)
+    return canonical_labels(raw), int(count)
 
 
 def _bfs_block(adj, sources):

@@ -294,9 +294,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
     }
     for pair, path in discover_alignment_files(cfg.data_dir).items():
         input_hashes[str(path)] = _hash_file(path)
+    inputs = {"inputs": input_hashes, "one_based": cfg.one_based}
     base = {
-        "inputs": input_hashes,
-        "one_based": cfg.one_based,
+        **inputs,
         "gamma": cfg.gamma,
         "lpc": [cfg.lpc_portion, cfg.lpc_max_iters],
         "seed": cfg.seed,
@@ -325,7 +325,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
 
     # -- features stage -------------------------------------------------------
     feat_dir = out / "features"
-    feat_key = stage_key({**base, "stage": "features", "train_ids": train_ids})
+    # features_stage reads no setting: its key holds only what it reads
+    feat_key = stage_key({**inputs, "stage": "features", "train_ids": train_ids})
     feat_paths = [
         feat_dir / "standardizer.json",
         feat_dir / "word_vocab.json",
@@ -417,8 +418,7 @@ def features_stage(
     graphs: Mapping[str, AlignmentGraph],
     train_ids: Sequence[str],
 ) -> tuple[FeatureStandardizer, dict, np.ndarray]:
-    train_graphs = {sid: graphs[sid] for sid in train_ids}
-    raw_cent = compute_centralities(train_graphs, train_ids)
+    raw_cent = compute_centralities(graphs, train_ids)
     standardizer = FeatureStandardizer.fit([raw_cent[sid] for sid in train_ids])
     vocab = build_word_vocab(corpus, train_ids)
     word_table = train_word_embeddings(corpus, vocab, sentence_ids=train_ids)

@@ -257,6 +257,83 @@ def lpc_reference(
     return labels
 
 
+def random_multilingual_graph(rng, n_langs: int, max_len: int, p: float) -> AlignmentGraph:
+    """Languages of 1..max_len tokens; each cross-language node pair linked with probability p."""
+    tokens = {
+        f"l{i:02d}": [f"w{i}_{j}" for j in range(int(rng.integers(1, max_len + 1)))]
+        for i in range(n_langs)
+    }
+    lang = np.repeat(np.arange(n_langs), [len(t) for t in tokens.values()])
+    edges = [
+        (u, v)
+        for u, v in combinations(range(len(lang)), 2)
+        if lang[u] != lang[v] and rng.random() < p
+    ]
+    return AlignmentGraph("test", tokens, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+
+
+def refinement_cases(rng):
+    """(graph, raw labels) pairs: random multilingual graphs of 1-5 languages,
+    edgeless, sparse (isolated nodes) and dense, plus n = 1, each with random
+    labels into 1, 2 and 4 groups (single-language communities included),
+    singletons, and as many groups as nodes."""
+    graphs = [
+        random_multilingual_graph(rng, int(rng.integers(1, 6)), 5, p)
+        for p in (0.0, 0.15, 0.4)
+        for _ in range(8)
+    ]
+    graphs.append(AlignmentGraph("test", {"l00": ["w"]}, np.empty((0, 2), np.int64)))
+    for g in graphs:
+        for k in (1, 2, 4, g.n):
+            yield g, rng.integers(-2, k, g.n)
+        yield g, np.arange(g.n)
+
+
+def from_labels_reference(raw) -> np.ndarray:
+    """Labels renumbered 0..K-1 by ascending smallest member, one node at a time."""
+    raw = np.asarray(raw, dtype=np.int64).tolist()
+    first_seen: dict[int, int] = {}
+    for v, lab in enumerate(raw):
+        if lab not in first_seen:
+            first_seen[lab] = v
+    order = sorted(first_seen, key=first_seen.get)
+    remap = {lab: i for i, lab in enumerate(order)}
+    return np.array([remap[lab] for lab in raw], dtype=np.int64)
+
+
+def refine_edges_reference(g: AlignmentGraph, labels) -> np.ndarray:
+    """Sorted (u, v), u < v: every cross-language pair inside a community, pair by pair."""
+    groups: dict[int, list[int]] = {}
+    for v, c in enumerate(np.asarray(labels).tolist()):
+        groups.setdefault(c, []).append(v)
+    pairs = []
+    for group in groups.values():
+        for ai in range(len(group)):
+            u = group[ai]
+            for bi in range(ai + 1, len(group)):
+                v = group[bi]
+                if g.node_lang[u] != g.node_lang[v]:
+                    pairs.append((u, v) if u < v else (v, u))
+    return np.array(sorted(set(pairs)), dtype=np.int64).reshape(-1, 2)
+
+
+def community_links_reference(g: AlignmentGraph, labels, lang_pair) -> set:
+    """(position in la, position in lb) of each refined edge between the pair's languages."""
+    la, lb = lang_pair
+    if la not in g.offsets or lb not in g.offsets:
+        return set()
+    la_idx = g.languages.index(la)
+    lb_idx = g.languages.index(lb)
+    links = set()
+    for u, v in refine_edges_reference(g, labels):
+        lu, lv = g.node_lang[u], g.node_lang[v]
+        if lu == la_idx and lv == lb_idx:
+            links.add((int(g.node_pos[u]), int(g.node_pos[v])))
+        elif lu == lb_idx and lv == la_idx:
+            links.add((int(g.node_pos[v]), int(g.node_pos[u])))
+    return links
+
+
 def gat_scalar(x, w, a, g: AlignmentGraph, slope: float = 0.2) -> np.ndarray:
     """Direct per-node evaluation of the attention layer on dense arrays."""
     n = g.n

@@ -16,7 +16,7 @@ from mpalign.cli import main
 from mpalign.communities import Partition, cd_stats, gmc, lpc, modularity
 from mpalign.corpus import GoldAlignment
 from mpalign.evaluation import community_alignment_eval, score
-from mpalign.features import BLOCK_WIDTHS, FeatureConfig
+from mpalign.features import BLOCK_WIDTHS, FeatureConfig, partition
 from mpalign.graph import build_graph
 from mpalign.inference import gdfa, NEIGHBOR_OFFSETS
 from mpalign.synth import SynthConfig, generate, write_synth
@@ -287,10 +287,12 @@ def test_09_component_counts(planted_run):
         build_graph(sid, res.corpus.sentences[sid], list(res.alignments.values()))
         for sid in sorted(res.corpus.sentences)
     ]
-    stats = cd_stats(graphs, "lpc", seed=0)
+    config = FeatureConfig(lpc_seed=0)
+    partitions = {g.sentence_id: partition(g, "lpc", config) for g in graphs}
+    stats = cd_stats(graphs, partitions)
     assert abs(stats.mean_components - k) <= 0.1 * k, stats.mean_components
 
-    lpc_report = community_alignment_eval(graphs, "lpc", res.gold, res.pair, seed=0)
+    lpc_report = community_alignment_eval(graphs, partitions, res.gold, res.pair)
     input_preds = {
         sid: res.alignments[res.pair].links[sid] for sid in res.gold.possible
     }

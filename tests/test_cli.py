@@ -127,11 +127,16 @@ def test_pipeline_cache_hit_and_determinism(synth_dir, tmp_path):
 def test_failed_stage_leaves_no_cache_hit(
     synth_dir, tmp_path, monkeypatch, caplog, stage, writer
 ):
-    """Run A, then a run B with another seed whose stage writer raises after
-    writing, then A again: A's stage must miss and rebuild A's outputs."""
+    """Run A, then a run B with another seed and one training id fewer (so
+    every stage's key differs) whose stage writer raises after writing, then A
+    again: A's stage must miss and rebuild A's outputs."""
     import mpalign.pipeline as pl
 
     out = tmp_path / "run"
+    fewer_ids = tmp_path / "train_ids_b.txt"
+    fewer_ids.write_text(
+        "\n".join((synth_dir / "train_ids.txt").read_text().split()[1:]) + "\n"
+    )
 
     def snapshot():
         return {
@@ -150,7 +155,8 @@ def test_failed_stage_leaves_no_cache_hit(
         raise RuntimeError("injected fault")
 
     monkeypatch.setattr(pl, writer, write_then_fail)
-    assert run_pipeline(synth_dir, out, seed="4") == 1
+    rc = run_pipeline(synth_dir, out, seed="4", extra=("--train-ids", str(fewer_ids)))
+    assert rc == 1
     monkeypatch.undo()
 
     caplog.clear()
@@ -158,6 +164,20 @@ def test_failed_stage_leaves_no_cache_hit(
         assert run_pipeline(synth_dir, out, seed="3") == 0
     assert f"{stage}: cache hit" not in caplog.messages
     assert snapshot() == first
+
+
+@pytest.mark.parametrize("changed", [("--gamma", "1.5"), ("--seed", "7")])
+def test_features_stage_ignores_run_settings(synth_dir, tmp_path, caplog, changed):
+    """The features stage reads only the inputs and the training ids, so a rerun
+    with another setting reuses it and redoes the stages that read the setting."""
+    out = tmp_path / "run"
+    assert run_pipeline(synth_dir, out) == 0
+    caplog.clear()
+    with caplog.at_level("INFO", logger="mpalign.pipeline"):
+        assert run_pipeline(synth_dir, out, extra=changed) == 0
+    assert "features: cache hit" in caplog.messages
+    assert "communities: cache hit" not in caplog.messages
+    assert "train: cache hit" not in caplog.messages
 
 
 def test_multi_epoch_fixed_negatives_runs(synth_dir, tmp_path):

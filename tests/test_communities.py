@@ -12,9 +12,17 @@ from mpalign.communities import (
     modularity,
     refine_edges,
 )
+from mpalign.features import FeatureConfig, partition
 from mpalign.graph import connected_components
 
-from oracles import arbitrary_graph, best_partitions, modularity_double_sum, random_graph
+from oracles import (
+    arbitrary_graph,
+    best_partitions,
+    modularity_double_sum,
+    random_graph,
+    refine_edges_reference,
+    refinement_cases,
+)
 
 
 def two_triangles_with_bridge():
@@ -186,6 +194,12 @@ class TestRefineEdges:
         refined = refine_edges(g, Partition.whole(3))
         assert {(0, 2), (1, 2)} == {tuple(e) for e in refined.edges.tolist()}
 
+    def test_matches_pair_loop_reference(self, rng):
+        for g, raw in refinement_cases(rng):
+            p = Partition.from_labels(raw)
+            expected = refine_edges_reference(g, p.labels)
+            assert refine_edges(g, p).edges.tolist() == expected.tolist()
+
     def test_components_equal_communities(self, rng):
         for seed in range(6):
             g = random_graph(rng, 9, 0.35)
@@ -201,8 +215,7 @@ class TestRefineEdges:
 
 class TestCdStats:
     def test_lpc_runs_seeded_per_sentence_as_features(self):
-        from mpalign.features import FeatureConfig, partition
-        from mpalign.graph import build_graph, connected_components
+        from mpalign.graph import build_graph
         from mpalign.synth import SynthConfig, generate
 
         # noisy enough that LPC's result depends on its seed
@@ -214,16 +227,17 @@ class TestCdStats:
             for sid in sorted(res.corpus.sentences)
         ]
         config = FeatureConfig(lpc_seed=0)
+        partitions = {g.sentence_id: partition(g, "lpc", config) for g in graphs}
         counts = [
-            len(connected_components(refine_edges(g, partition(g, "lpc", config))))
+            len(connected_components(refine_edges(g, partitions[g.sentence_id])))
             for g in graphs
         ]
-        stats = cd_stats(graphs, "lpc", seed=0)
+        stats = cd_stats(graphs, partitions)
         assert stats.mean_components == np.mean(counts)
 
     def test_trivial_two_components(self):
         g = arbitrary_graph(4, [(0, 1), (2, 3)])
-        stats = cd_stats([g], "gmc")
+        stats = cd_stats([g], {g.sentence_id: partition(g, "gmc", FeatureConfig())})
         assert stats.mean_components == 2.0
         assert stats.edge_removal_fraction == 0.0
 
@@ -237,6 +251,7 @@ class TestCdStats:
             build_graph(sid, res.corpus.sentences[sid], list(res.alignments.values()))
             for sid in sorted(res.corpus.sentences)
         ]
-        stats = cd_stats(graphs, "lpc", seed=0)
+        config = FeatureConfig(lpc_seed=0)
+        stats = cd_stats(graphs, {g.sentence_id: partition(g, "lpc", config) for g in graphs})
         assert stats.mean_components == pytest.approx(6.0, rel=0.01)
         assert stats.mean_sentence_length == pytest.approx(6.0)

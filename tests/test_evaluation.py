@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mpalign.communities import Partition
 from mpalign.corpus import GoldAlignment, MultiParallelCorpus
 from mpalign.evaluation import (
     community_alignment_eval,
@@ -10,6 +11,9 @@ from mpalign.evaluation import (
     frequency_bins,
     score,
 )
+from mpalign.features import FeatureConfig, partition
+
+from oracles import community_links_reference, refinement_cases
 
 links = st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=10)
 
@@ -124,11 +128,22 @@ class TestCommunityEval:
             build_graph(sid, res.corpus.sentences[sid], list(res.alignments.values()))
             for sid in sorted(res.corpus.sentences)
         ]
-        rep = community_alignment_eval(graphs, "lpc", res.gold, res.pair, seed=0)
+        config = FeatureConfig(lpc_seed=0)
+        partitions = {g.sentence_id: partition(g, "lpc", config) for g in graphs}
+        rep = community_alignment_eval(graphs, partitions, res.gold, res.pair)
         assert rep.f1 == pytest.approx(1.0)
 
+    def test_community_links_match_reference(self, rng):
+        for g, raw in refinement_cases(rng):
+            p = Partition.from_labels(raw)
+            langs = g.languages + ("zz",)  # zz: a language the sentence lacks
+            for la in langs:
+                for lb in langs:
+                    links = community_links(g, p, (la, lb))
+                    assert links == community_links_reference(g, p.labels, (la, lb))
+                    assert community_links(g, p, (lb, la)) == {(j, i) for i, j in links}
+
     def test_merged_concepts_lower_precision(self):
-        from mpalign.communities import Partition
         from mpalign.graph import AlignmentGraph
 
         g = AlignmentGraph(

@@ -12,6 +12,7 @@ from oracles import (
     bfs_components,
     bfs_dist,
     centralities_bruteforce,
+    from_labels_reference,
     lpc_reference,
     random_graph,
     random_tree,
@@ -85,6 +86,14 @@ def test_component_labels_empty_graph():
         np.zeros(1, np.int64), np.empty(0, np.int64), 0
     )
     assert labels.tolist() == [] and count == 0
+
+
+def test_canonical_labels_match_dict_reference(rng):
+    cases = [[], [7], [-3, 5, -3, 5, 0], [4, 3, 2, 1, 0]]
+    cases += [rng.integers(-3, k, int(rng.integers(1, 40))) for k in (1, 2, 5, 100)]
+    cases += [rng.integers(0, 2**62, 30)]
+    for raw in cases:
+        assert kernels.canonical_labels(raw).tolist() == from_labels_reference(raw).tolist()
 
 
 def test_lpc_matches_loop_reference(rng, source_block):
