@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark the graph kernels: centralities, components and label propagation.
+"""Benchmark the graph kernels: graph building, centralities, components,
+label propagation and greedy modularity.
 
 Times each kernel (best of 3) on 60 random graphs of 72 nodes, then the
-centralities and label propagation of one paper-scale sentence graph
-(84 languages x 25 tokens, n = 2,100). Prints a table, or one JSON object
-with ``--json``.
+centralities, label propagation and greedy modularity of one paper-scale
+sentence graph (84 languages x 25 tokens, n = 2,100). Prints a table, or one
+JSON object with ``--json``.
 """
 
 import json
@@ -15,7 +16,8 @@ import time
 import numpy as np
 
 from mpalign import kernels, synth
-from mpalign.communities import lpc
+from mpalign.communities import gmc, lpc
+from mpalign.corpus import BilingualAlignmentSet
 from mpalign.graph import AlignmentGraph, build_graph
 
 
@@ -50,6 +52,16 @@ def paper_scale_graph(n_languages=84, tokens=25, seed=7):
     return build_graph(sid, res.corpus.sentences[sid], list(res.alignments.values()))
 
 
+def alignment_sets(g):
+    """The graph's edges as one link set per language pair."""
+    sets = {}
+    for u, v in g.edges.tolist():
+        nu, nv = g.node(u), g.node(v)
+        links = sets.setdefault((nu.language, nv.language), set())
+        links.add((nu.position, nv.position))
+    return [BilingualAlignmentSet(pair, {g.sentence_id: links}) for pair, links in sets.items()]
+
+
 def bench(fn, repeats=3):
     best = float("inf")
     for _ in range(repeats):
@@ -61,6 +73,11 @@ def bench(fn, repeats=3):
 
 def run_suite():
     graphs = make_graphs()
+    inputs = [(g.sentence_id, g.tokens, alignment_sets(g)) for g in graphs]
+
+    def build_pass():
+        for sid, tokens, sets in inputs:
+            build_graph(sid, tokens, sets)
 
     def centrality_pass():
         for g in graphs:
@@ -74,10 +91,16 @@ def run_suite():
         for i, g in enumerate(graphs):
             lpc(g, seed=i)
 
+    def gmc_pass():
+        for g in graphs:
+            gmc(g)
+
     results = {
+        "build_graph_s": bench(build_pass),
         "centralities_s": bench(centrality_pass),
         "components_s": bench(component_pass),
         "label_propagation_s": bench(lpc_pass),
+        "gmc_s": bench(gmc_pass),
     }
     big = paper_scale_graph()
     results["paper_graph_nodes"] = big.n
@@ -86,6 +109,7 @@ def run_suite():
         lambda: kernels.centrality_bundle(big.indptr, big.indices, big.n), repeats=1
     )
     results["paper_label_propagation_s"] = bench(lambda: lpc(big, seed=0), repeats=1)
+    results["paper_gmc_s"] = bench(lambda: gmc(big), repeats=1)
     results["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return results
 
@@ -93,13 +117,14 @@ def run_suite():
 def main():
     results = run_suite()
     print(f"kernel timings (best of 3, {60} graphs of 72 nodes):")
-    for key in ("centralities_s", "components_s", "label_propagation_s"):
+    for key in ("build_graph_s", "centralities_s", "components_s", "label_propagation_s",
+                "gmc_s"):
         print(f"  {key[:-2]:>20}: {results[key] * 1000:9.2f} ms")
     print(
         f"paper-scale graph (n={results['paper_graph_nodes']}, "
         f"m={results['paper_graph_edges']}, one run):"
     )
-    for key in ("paper_centralities_s", "paper_label_propagation_s"):
+    for key in ("paper_centralities_s", "paper_label_propagation_s", "paper_gmc_s"):
         print(f"  {key[6:-2]:>20}: {results[key] * 1000:9.2f} ms")
     print(f"  {'peak RSS':>20}: {results['peak_rss_mb']:9.1f} MB")
 

@@ -1,13 +1,16 @@
 """Concept-community detection on alignment graphs.
 
 Two detectors are provided: greedy modularity agglomeration (merge the pair of
-communities with the largest positive modularity gain until none is left) and
-seeded label propagation (each round synchronously updates a random half of
-the nodes to the most frequent neighbor label, smallest label on ties).
+communities with the largest positive modularity gain until none is left, the
+lexicographically smallest pair on ties; a lazy max-heap of pair gains after
+Clauset, Newman & Moore 2004 finds each merge) and seeded label propagation
+(each round synchronously updates a random half of the nodes to the most
+frequent neighbor label, smallest label on ties).
 ``refine_edges`` turns a partition back into edges: every cross-language pair
 inside a community is linked, every inter-community edge is dropped.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -67,55 +70,64 @@ def modularity(g: AlignmentGraph, p: Partition, gamma: float = 1.0) -> float:
 
 
 def gmc(g: AlignmentGraph, gamma: float = 1.0) -> Partition:
-    """Greedy modularity agglomeration from singletons.
+    """Greedy modularity agglomeration from singletons (Clauset, Newman & Moore).
 
-    Only community pairs joined by at least one edge can have positive gain, so
-    candidate pairs are tracked in an inter-community edge-count map. Ties are
-    broken toward the lexicographically smallest pair of community ids (the
-    smallest member node id represents each community).
+    Each step merges the pair of adjacent communities with the largest positive
+    modularity gain; only adjacent pairs can gain. Ties go to the
+    lexicographically smallest pair of community ids, each community being
+    named by its smallest member node. Every community keeps a map of its
+    neighbors to the number of edges between them, and one lazy max-heap holds
+    ``(-gain, a, b)`` with ``a < b``. A merge only changes the gains of the
+    surviving community's pairs, so it pushes fresh entries for those alone; a
+    popped entry whose pair is gone or whose gain has changed since it was
+    pushed is skipped. The heap's tuple order is the tie-break.
     """
     m = g.m
     if m == 0:
         raise UndefinedModularityError(f"sentence {g.sentence_id}: graph has no edges")
     two_m_sq = float(2 * m) ** 2
+    deg_sum = [float(d) for d in g.degrees.tolist()]
+
+    def gain(a: int, b: int, k: int) -> float:
+        # this exact expression and operand order: the bits decide ties
+        return k / m - 2.0 * gamma * deg_sum[a] * deg_sum[b] / two_m_sq
 
     comm_of = list(range(g.n))
     members: dict[int, list[int]] = {v: [v] for v in range(g.n)}
-    deg_sum: dict[int, float] = {v: float(g.degrees[v]) for v in range(g.n)}
-    between: dict[tuple[int, int], int] = {}
-    for u, v in g.edges:
-        key = (int(u), int(v))
-        between[key] = between.get(key, 0) + 1
+    between: list[dict[int, int]] = [{} for _ in range(g.n)]
+    heap = []
+    for a, b in g.edges.tolist():  # unique, with a < b
+        between[a][b] = between[b][a] = 1
+        heap.append((-gain(a, b, 1), a, b))
+    heapq.heapify(heap)
 
-    while between:
-        best_key = None
-        best_gain = 0.0
-        for (a, b), k in between.items():
-            gain = k / m - 2.0 * gamma * deg_sum[a] * deg_sum[b] / two_m_sq
-            if gain > best_gain or (
-                gain == best_gain and best_key is not None and (a, b) < best_key
-            ):
-                best_gain = gain
-                best_key = (a, b)
-        if best_key is None or best_gain <= 0.0:
+    while heap:
+        neg_gain, a, b = heapq.heappop(heap)
+        k = between[a].get(b)
+        if k is None:
+            continue  # a or b merged away, which empties and unlinks its map
+        best = gain(a, b, k)
+        if best != -neg_gain:
+            continue  # pushed before one side's degree sum or count changed
+        if best <= 0.0:
             break
-        a, b = best_key
         for v in members[b]:
             comm_of[v] = a
-        members[a].extend(members[b])
+        members[a].extend(members.pop(b))
         deg_sum[a] += deg_sum[b]
-        del members[b], deg_sum[b], between[(a, b)]
-        merged: dict[tuple[int, int], int] = {}
-        for (x, y), k in between.items():
-            if x == b:
-                x = a
-            if y == b:
-                y = a
-            if x == y:
-                continue
-            key = (x, y) if x < y else (y, x)
-            merged[key] = merged.get(key, 0) + k
-        between = merged
+        nbrs_a = between[a]
+        del nbrs_a[b]
+        for c, kc in between[b].items():
+            if c != a:
+                nbrs_c = between[c]
+                del nbrs_c[b]
+                nbrs_a[c] = nbrs_c[a] = nbrs_a.get(c, 0) + kc
+        between[b] = {}
+        for c, kc in nbrs_a.items():
+            if a < c:
+                heapq.heappush(heap, (-gain(a, c, kc), a, c))
+            else:
+                heapq.heappush(heap, (-gain(c, a, kc), c, a))
     return Partition.from_labels(comm_of)
 
 

@@ -70,26 +70,34 @@ class AlignmentGraph:
         self.node_lang = np.asarray(lang_ids, dtype=np.int64)
         self.node_pos = np.asarray(positions, dtype=np.int64)
 
+        n = self.n
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if edges.size:
             lo = np.minimum(edges[:, 0], edges[:, 1])
             hi = np.maximum(edges[:, 0], edges[:, 1])
-            edges = np.unique(np.stack([lo, hi], axis=1), axis=0)
+            if lo.min() < 0 or hi.max() >= n:
+                raise GraphBuildError(
+                    f"sentence {sentence_id}: edge node id out of range 0..{n - 1}"
+                )
+            loops = lo[lo == hi]
+            if loops.size:
+                node = self.node(int(loops[0]))
+                raise GraphBuildError(
+                    f"sentence {sentence_id}: self-loop on node {loops[0]} "
+                    f"({node.language} position {node.position})"
+                )
+            # one key per pair: sorting the keys sorts the pairs by (lo, hi)
+            keys = np.unique(lo * n + hi)
+            edges = np.stack([keys // n, keys % n], axis=1)
         self.edges = edges
 
-        n = self.n
+        self.indices = np.empty(0, dtype=np.int64)
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
         if edges.size:
             src = np.concatenate([edges[:, 0], edges[:, 1]])
             dst = np.concatenate([edges[:, 1], edges[:, 0]])
-            order = np.lexsort((dst, src))
-            src, dst = src[order], dst[order]
-            self.indices = dst
-            self.indptr = np.zeros(n + 1, dtype=np.int64)
-            np.add.at(self.indptr, src + 1, 1)
-            np.cumsum(self.indptr, out=self.indptr)
-        else:
-            self.indices = np.empty(0, dtype=np.int64)
-            self.indptr = np.zeros(n + 1, dtype=np.int64)
+            self.indices = dst[np.argsort(src * n + dst)]  # keys unique: order exact
+            np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
         self.degrees = np.diff(self.indptr)
 
     @property
@@ -135,7 +143,9 @@ def build_graph(
     """Assemble the sentence graph from token sequences and bilingual link sets.
 
     Alignment sets whose language pair is not fully present in the sentence are
-    ignored; duplicate links (also across overlapping sets) are merged.
+    ignored; duplicate links (also across overlapping sets) are merged. A link
+    that joins a token to itself, as a set pairing a language with itself can,
+    raises ``GraphBuildError``.
     """
     lengths = {lang: len(toks) for lang, toks in tokens_by_lang.items()}
     sorted_langs = sorted(lengths)
@@ -145,7 +155,7 @@ def build_graph(
         starts[lang] = pos
         pos += lengths[lang]
 
-    pairs = set()
+    flat: list[int] = []  # u0, v0, u1, v1, ...; the constructor dedups and sorts
     for aset in alignment_sets:
         la, lb = aset.lang_pair
         if la not in lengths or lb not in lengths:
@@ -153,17 +163,18 @@ def build_graph(
         links = aset.links.get(sentence_id)
         if not links:
             continue
+        start_a, start_b = starts[la], starts[lb]
+        len_a, len_b = lengths[la], lengths[lb]
         for i, j in links:
-            if not 0 <= i < lengths[la] or not 0 <= j < lengths[lb]:
+            if not 0 <= i < len_a or not 0 <= j < len_b:
                 raise GraphBuildError(
                     f"sentence {sentence_id}: link ({i},{j}) out of bounds for "
-                    f"{la}-{lb} (lengths {lengths[la]},{lengths[lb]})"
+                    f"{la}-{lb} (lengths {len_a},{len_b})"
                 )
-            u = starts[la] + i
-            v = starts[lb] + j
-            pairs.add((u, v) if u < v else (v, u))
+            flat.append(start_a + i)
+            flat.append(start_b + j)
 
-    edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    edges = np.array(flat, dtype=np.int64).reshape(-1, 2)
     return AlignmentGraph(sentence_id, tokens_by_lang, edges)
 
 

@@ -144,6 +144,11 @@ def discover_alignment_files(data_dir: str | Path) -> dict[tuple[str, str], Path
         la, sep, lb = path.stem.partition("-")
         if not sep:
             raise ValueError(f"alignment file {path} is not named <langA>-<langB>.align")
+        if la == lb:
+            raise ValueError(
+                f"alignment file {path} pairs {la} with itself; "
+                "<langA>-<langB>.align needs two different languages"
+            )
         out[(la, lb)] = path
     return out
 

@@ -257,6 +257,88 @@ def lpc_reference(
     return labels
 
 
+def gmc_reference(g: AlignmentGraph, gamma: float = 1.0) -> np.ndarray:
+    """Greedy modularity agglomeration that rescans every inter-community pair
+    for the best gain on each merge, with ``communities.gmc``'s gain expression
+    and tie-break; labels are the smallest member of each community, not
+    canonicalized. The graph must have edges."""
+    m = g.m
+    two_m_sq = float(2 * m) ** 2
+    comm_of = list(range(g.n))
+    members: dict[int, list[int]] = {v: [v] for v in range(g.n)}
+    deg_sum: dict[int, float] = {v: float(g.degrees[v]) for v in range(g.n)}
+    between: dict[tuple[int, int], int] = {}
+    for u, v in g.edges:
+        key = (int(u), int(v))
+        between[key] = between.get(key, 0) + 1
+
+    while between:
+        best_key = None
+        best_gain = 0.0
+        for (a, b), k in between.items():
+            gain = k / m - 2.0 * gamma * deg_sum[a] * deg_sum[b] / two_m_sq
+            if gain > best_gain or (
+                gain == best_gain and best_key is not None and (a, b) < best_key
+            ):
+                best_gain = gain
+                best_key = (a, b)
+        if best_key is None or best_gain <= 0.0:
+            break
+        a, b = best_key
+        for v in members[b]:
+            comm_of[v] = a
+        members[a].extend(members[b])
+        deg_sum[a] += deg_sum[b]
+        del members[b], deg_sum[b], between[(a, b)]
+        merged: dict[tuple[int, int], int] = {}
+        for (x, y), k in between.items():
+            if x == b:
+                x = a
+            if y == b:
+                y = a
+            if x == y:
+                continue
+            key = (x, y) if x < y else (y, x)
+            merged[key] = merged.get(key, 0) + k
+        between = merged
+    return np.asarray(comm_of, dtype=np.int64)
+
+
+def build_graph_reference(sentence_id, tokens_by_lang, alignment_sets) -> dict:
+    """``edges``, ``indptr``, ``indices`` and ``degrees`` of a sentence graph,
+    built from a set of sorted node pairs: ``np.unique(axis=0)`` for the
+    canonical edges, ``lexsort`` for the CSR order and ``np.add.at`` for the
+    row counts."""
+    lengths = {lang: len(toks) for lang, toks in tokens_by_lang.items()}
+    starts, pos = {}, 0
+    for lang in sorted(lengths):
+        starts[lang] = pos
+        pos += lengths[lang]
+    n = pos
+    pairs = set()
+    for aset in alignment_sets:
+        la, lb = aset.lang_pair
+        if la not in lengths or lb not in lengths:
+            continue
+        for i, j in aset.links.get(sentence_id, ()):
+            u, v = starts[la] + i, starts[lb] + j
+            pairs.add((u, v) if u < v else (v, u))
+    edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    if edges.size:
+        edges = np.unique(edges, axis=0)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indices = np.empty(0, dtype=np.int64)
+    if edges.size:
+        src = np.concatenate([edges[:, 0], edges[:, 1]])
+        dst = np.concatenate([edges[:, 1], edges[:, 0]])
+        order = np.lexsort((dst, src))
+        src, indices = src[order], dst[order]
+        np.add.at(indptr, src + 1, 1)
+        np.cumsum(indptr, out=indptr)
+    return {"edges": edges, "indptr": indptr, "indices": indices,
+            "degrees": np.diff(indptr)}
+
+
 def random_multilingual_graph(rng, n_langs: int, max_len: int, p: float) -> AlignmentGraph:
     """Languages of 1..max_len tokens; each cross-language node pair linked with probability p."""
     tokens = {

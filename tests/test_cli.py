@@ -452,3 +452,15 @@ def test_unknown_config_keys_rejected():
     with pytest.raises(ValueError, match="unknown pipeline config keys"):
         PipelineConfig.from_dict({"data_dir": "x", "out_dir": "y",
                                   "pair": ("a", "b"), "bogus": 1})
+
+
+def test_same_language_alignment_file_rejected(synth_dir, tmp_path, capsys):
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    (data / "l00-l00.align").write_text("v00000\t0-0 0-1\n")
+    rc = run_pipeline(data, tmp_path / "run")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "l00-l00.align pairs l00 with itself" in err

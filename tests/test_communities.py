@@ -18,8 +18,10 @@ from mpalign.graph import connected_components
 from oracles import (
     arbitrary_graph,
     best_partitions,
+    gmc_reference,
     modularity_double_sum,
     random_graph,
+    random_multilingual_graph,
     refine_edges_reference,
     refinement_cases,
 )
@@ -133,6 +135,95 @@ class TestGmc:
             assert tuple(p.labels.tolist()) in canonical
             checked += 1
         assert checked >= 5
+
+
+def ring(n):
+    return arbitrary_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def star(leaves):
+    return arbitrary_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def complete_bipartite(a, b):
+    return arbitrary_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def planted_cliques(rng, sizes, bridges):
+    """Disjoint cliques of the given sizes in shuffled node order, joined by
+    *bridges* random edges between different cliques."""
+    n = sum(sizes)
+    node = rng.permutation(n)
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    edges = [(node[u], node[v]) for u in range(n) for v in range(u + 1, n)
+             if block[u] == block[v]]
+    while bridges:
+        u, v = rng.integers(n, size=2)
+        if block[u] != block[v]:
+            edges.append((node[u], node[v]))
+            bridges -= 1
+    return arbitrary_graph(n, edges)
+
+
+def disjoint_union(*graphs):
+    edges, start = [], 0
+    for g in graphs:
+        edges += [(u + start, v + start) for u, v in g.edges.tolist()]
+        start += g.n
+    return arbitrary_graph(start, edges)
+
+
+def gmc_cases(rng):
+    """Graphs with edges: exact ties (rings, stars, complete and complete
+    bipartite graphs), planted cliques, disconnected graphs with isolated
+    nodes, random multilingual graphs and dense random graphs."""
+    yield from (ring(n) for n in range(3, 13))
+    yield from (star(k) for k in range(1, 9))
+    yield from (complete_bipartite(a, b) for a in range(1, 6) for b in range(a, 6))
+    yield from (arbitrary_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+                for n in range(2, 7))
+    for sizes in ((3, 3), (4, 4, 4), (5, 3, 6, 2), (2, 2, 2, 2, 2)):
+        for bridges in (0, 1, 3):
+            yield planted_cliques(rng, sizes, bridges)
+    yield disjoint_union(ring(5), star(3), arbitrary_graph(2, []), ring(4))
+    yield disjoint_union(complete_bipartite(3, 3), complete_bipartite(4, 4))
+    yield disjoint_union(arbitrary_graph(3, []), arbitrary_graph(2, [(0, 1)]))
+    for _ in range(40):
+        g = random_multilingual_graph(rng, int(rng.integers(2, 8)), 6,
+                                      float(rng.uniform(0.05, 0.5)))
+        if g.m:
+            yield g
+    for _ in range(40):  # dense: many near-equal gains
+        g = random_graph(rng, int(rng.integers(5, 10)), float(rng.uniform(0.4, 0.8)))
+        if g.m:
+            yield g
+
+
+class TestGmcMatchesReference:
+    """``gmc`` keeps the partitions of the pair-rescanning loop exactly."""
+
+    # 1.1 and 1.3 are not powers of two, so the operand order of the gain's
+    # product changes its rounding and with it some tie-breaks
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.1, 1.3, 2.0])
+    def test_battery(self, gamma):
+        rng = np.random.default_rng(2024)
+        for g in gmc_cases(rng):
+            expected = Partition.from_labels(gmc_reference(g, gamma)).labels
+            assert gmc(g, gamma).labels.tolist() == expected.tolist(), (g.edges, gamma)
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_perfbench_shaped_corpus(self, gamma):
+        from mpalign.graph import build_graph
+        from mpalign.synth import SynthConfig, generate
+
+        res = generate(SynthConfig(n_sentences=40, n_languages=8, vocab=40, len_min=6,
+                                   len_max=6, edge_drop_rate=0.3, edge_noise_rate=0.05,
+                                   seed=101))
+        sets = list(res.alignments.values())
+        for sid in res.corpus.sentence_ids():
+            g = build_graph(sid, res.corpus.sentences[sid], sets)
+            expected = Partition.from_labels(gmc_reference(g, gamma)).labels
+            assert gmc(g, gamma).labels.tolist() == expected.tolist(), sid
 
 
 class TestLpc:

@@ -4,9 +4,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mpalign.corpus import BilingualAlignmentSet
-from mpalign.graph import GraphBuildError, build_graph, connected_components, dump_graph
+from mpalign.graph import (
+    AlignmentGraph,
+    GraphBuildError,
+    build_graph,
+    connected_components,
+    dump_graph,
+)
 
-from oracles import bfs_components, random_graph
+from oracles import bfs_components, build_graph_reference, random_graph
 
 
 def aset(pair, sid, links):
@@ -87,6 +93,84 @@ class TestBuildGraph:
         for _ in range(20):
             g = random_graph(rng, int(rng.integers(2, 12)), 0.4)
             assert g.degrees.sum() == 2 * g.m
+
+
+def random_alignment_sets(rng, tokens, sids):
+    """Random link sets over every ordered language pair, some present twice,
+    each sentence linked with probability 0.7, a swapped copy of a few sets and
+    one set whose second language no sentence has."""
+    langs = sorted(tokens)
+    sets = []
+    for la in langs:
+        for lb in langs:
+            if la == lb or rng.random() < 0.5:
+                continue
+            links = {
+                sid: {(int(rng.integers(len(tokens[la]))), int(rng.integers(len(tokens[lb]))))
+                      for _ in range(int(rng.integers(1, 6)))}
+                for sid in sids if rng.random() < 0.7
+            }
+            sets.append(BilingualAlignmentSet((la, lb), links))
+            if rng.random() < 0.3:
+                sets.append(BilingualAlignmentSet((la, lb), dict(links)))  # duplicate
+            if rng.random() < 0.3:
+                sets.append(sets[-1].swapped())
+    sets.append(BilingualAlignmentSet((langs[0], "zzz"), {sid: {(0, 0)} for sid in sids}))
+    return sets
+
+
+def assert_same_arrays(g, ref):
+    for name, expected in ref.items():
+        got = getattr(g, name)
+        assert got.dtype == expected.dtype == np.int64, name
+        assert got.shape == expected.shape, name
+        assert got.tobytes() == expected.tobytes(), name
+
+
+class TestBuildGraphMatchesReference:
+    """Array-built graphs keep the arrays of the set/sort construction."""
+
+    def test_random_multilingual_sets(self, rng):
+        for _ in range(60):
+            tokens = {f"l{i:02d}": ["w"] * int(rng.integers(1, 7))
+                      for i in range(int(rng.integers(1, 7)))}
+            sids = ["s0", "s1", "s2"]
+            sets = random_alignment_sets(rng, tokens, sids)
+            rng.shuffle(sets)
+            for sid in sids:
+                ref = build_graph_reference(sid, tokens, sets)
+                assert_same_arrays(build_graph(sid, tokens, sets), ref)
+
+    def test_perfbench_shaped_corpus(self):
+        from mpalign.synth import SynthConfig, generate
+
+        res = generate(SynthConfig(n_sentences=60, n_languages=8, vocab=40, len_min=6,
+                                   len_max=6, edge_drop_rate=0.3, edge_noise_rate=0.05,
+                                   seed=101))
+        sets = list(res.alignments.values())
+        for sid in res.corpus.sentence_ids():
+            tokens = res.corpus.sentences[sid]
+            ref = build_graph_reference(sid, tokens, sets)
+            assert_same_arrays(build_graph(sid, tokens, sets), ref)
+
+    def test_self_loop_rejected(self):
+        tokens = {"eng": ["a", "b"], "fra": ["x"]}
+        message = r"sentence v1: self-loop on node 1 \(eng position 1\)"
+        with pytest.raises(GraphBuildError, match=message):
+            AlignmentGraph("v1", tokens, np.array([[0, 2], [1, 1]]))
+        g = AlignmentGraph("v1", tokens, np.array([[0, 2]]))
+        with pytest.raises(GraphBuildError, match="sentence v1: self-loop"):
+            g.with_edges(np.array([[2, 2]]))
+
+    def test_same_language_set_rejected(self):
+        sets = [aset(("eng", "eng"), "v1", [(0, 1), (1, 1)])]
+        with pytest.raises(GraphBuildError, match="sentence v1: self-loop"):
+            build_graph("v1", {"eng": ["a", "b"], "fra": ["x"]}, sets)
+
+    @pytest.mark.parametrize("edge", [[0, 3], [-1, 2]])
+    def test_node_id_out_of_range(self, edge):
+        with pytest.raises(GraphBuildError, match="sentence v1: edge node id out of range"):
+            AlignmentGraph("v1", {"eng": ["a", "b"], "fra": ["x"]}, np.array([edge]))
 
 
 class TestComponents:
