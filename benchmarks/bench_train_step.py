@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark one training step of the link predictor, layer by layer.
 
-Builds one fixed synthetic sentence graph (8 languages x 6 tokens, the
-sentence shape of the end-to-end benchmark), initializes a hidden-512 model
-and runs the step ``train_model`` runs for it: encode, decode of the positives
-and their negatives, loss, backward and the AdamW update. Each layer is timed
-in each of ``REPEATS`` steps (after ``WARMUP`` warm-up steps).
+Builds ``SENTENCES`` fixed synthetic sentence graphs (8 languages x 6 tokens,
+the sentence shape of the end-to-end benchmark), initializes a hidden-512
+model and cycles over them with the step ``train_model`` runs: encode, decode
+of the positives and their negatives, loss, backward and the AdamW update.
+As in ``train_model``, a step's tape lives until the next step's forward is
+done. Each layer is timed in each of ``REPEATS`` steps (after ``WARMUP``
+warm-up steps).
 Prints the best and the median in ms with the spread (upper minus lower
 quartile) per layer, and the minor page faults per timed step, or one JSON
 object with ``--json``.
@@ -33,33 +35,42 @@ from mpalign.graph import build_graph  # noqa: E402
 LAYERS = ("encode", "decode", "loss", "backward", "adamw")
 REPEATS = 100
 WARMUP = 3
+SENTENCES = 8
 
 
 def make_step_inputs(hidden=512, seed=0):
+    """The features and the positive and negative pairs of ``SENTENCES`` synth
+    sentences, and one model for them all."""
     res = synth.generate(
         synth.SynthConfig(
-            n_sentences=1, n_languages=8, vocab=40, len_min=6, len_max=6,
+            n_sentences=SENTENCES, n_languages=8, vocab=40, len_min=6, len_max=6,
             edge_drop_rate=0.3, edge_noise_rate=0.05, seed=seed,
         )
     )
-    sid = res.corpus.sentence_ids()[0]
-    g = build_graph(sid, res.corpus.sentences[sid], list(res.alignments.values()))
-    langs = sorted(g.offsets)
-    words = sorted({(lang, tok) for lang in langs for tok in g.tokens[lang]})
+    alignments = list(res.alignments.values())
+    graphs = [
+        build_graph(sid, res.corpus.sentences[sid], alignments)
+        for sid in res.corpus.sentence_ids()
+    ]
+    langs = sorted(res.corpus.languages)
+    words = sorted({(lang, tok) for g in graphs for lang in langs for tok in g.tokens[lang]})
     vocab = {word: i for i, word in enumerate(words)}
     fc = FeatureConfig()
-    sf = featurize(
-        g, FeatureStandardizer.fit([centralities(g)]),
-        {lang: i for i, lang in enumerate(langs)}, vocab, fc,
-    )
+    standardizer = FeatureStandardizer.fit([centralities(g) for g in graphs])
+    lang_index = {lang: i for i, lang in enumerate(langs)}
     config = gnn.TrainConfig(hidden=hidden, feature=fc)
     params = gnn.init_params(config, len(langs), len(vocab), np.random.default_rng(seed))
-    us, vs = g.edges[:, 0], g.edges[:, 1]
-    neg_u, neg_v = gnn.sample_negatives(sf, us, vs, np.random.default_rng(seed))
-    return sf, config, params, (us, vs, neg_u, neg_v)
+    steps = []
+    for g in graphs:
+        sf = featurize(g, standardizer, lang_index, vocab, fc)
+        us, vs = g.edges[:, 0], g.edges[:, 1]
+        neg_u, neg_v = gnn.sample_negatives(sf, us, vs, np.random.default_rng(seed))
+        steps.append((sf, (us, vs, neg_u, neg_v)))
+    return steps, config, params
 
 
-def timed_step(sf, config, params, opt, pairs) -> dict[str, float]:
+def timed_step(sf, pairs, config, params, opt) -> tuple[dict[str, float], tuple]:
+    """The layer times of one step, and the step's loss and leaves."""
     us, vs, neg_u, neg_v = pairs
     t0 = time.perf_counter()
     P = gnn.as_leaves(params)
@@ -77,20 +88,28 @@ def timed_step(sf, config, params, opt, pairs) -> dict[str, float]:
     marks = (t0, t1, t2, t3, t4, t5)
     times = {name: b - a for name, a, b in zip(LAYERS, marks, marks[1:])}
     times["step"] = t5 - t0
-    return times
+    return times, (loss, P)
 
 
 def run_suite(hidden=512):
-    sf, config, params, pairs = make_step_inputs(hidden)
+    steps, config, params = make_step_inputs(hidden)
     opt = gnn.AdamW(params, lr=config.lr, frozen=gnn.frozen_param_names(config.feature))
-    for _ in range(WARMUP):
-        timed_step(sf, config, params, opt, pairs)
+    # as in train_model's loop, a step's tape is freed only after the next
+    # step's forward: freeing it first lets glibc hand the heap back to the
+    # kernel and fault it in again each step (about 4,000 faults per step)
+    held = None
+    for k in range(WARMUP):
+        _, held = timed_step(*steps[k % len(steps)], config, params, opt)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    samples = [timed_step(sf, config, params, opt, pairs) for _ in range(REPEATS)]
+    samples = []
+    for k in range(REPEATS):
+        times, held = timed_step(*steps[k % len(steps)], config, params, opt)
+        samples.append(times)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     results = {
-        "nodes": sf.graph.n,
-        "pairs": len(pairs[0]) + len(pairs[2]),
+        "sentences": len(steps),
+        "nodes": float(np.mean([sf.graph.n for sf, _ in steps])),
+        "pairs": float(np.mean([len(p[0]) + len(p[2]) for _, p in steps])),
         "hidden": hidden,
         "repeats": REPEATS,
     }
@@ -114,8 +133,9 @@ def main():
         print(json.dumps(results))
         return
     print(
-        f"train step ({results['nodes']} nodes, {results['pairs']} pairs, "
-        f"hidden {results['hidden']}, {results['repeats']} steps):"
+        f"train step ({results['sentences']} sentences, mean {results['nodes']:.0f} "
+        f"nodes and {results['pairs']:.0f} pairs, hidden {results['hidden']}, "
+        f"{results['repeats']} steps):"
     )
     print(f"  {'layer':>9}  {'best ms':>8}  {'median ms':>9}  {'IQR ms':>7}")
     for name in LAYERS + ("step",):

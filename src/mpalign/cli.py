@@ -260,8 +260,8 @@ def cmd_align(args) -> int:
     cfg = _pipeline_config(args, str(Path(args.out).parent))
     corpus, graphs = _load_graphs(args)
     ids = pl.select_ids(cfg.test_ids, graphs)
-    pl.align_with_model(Path(args.model), graphs, corpus, ids, cfg, Path(args.out))
-    print(f"aligned {len(ids)} sentences -> {args.out}")
+    n = pl.align_with_model(Path(args.model), graphs, corpus, ids, cfg, Path(args.out))
+    print(f"aligned {n} sentences -> {args.out}")
     return 0
 
 

@@ -206,6 +206,26 @@ def encode(
     return x @ P["enc.W"] + P["enc.b"]
 
 
+def project(h: Tensor, P: dict[str, Tensor], half: str) -> Tensor:
+    """Rows of ``h`` times the ``"top"`` (first endpoint) or ``"bottom"``
+    (second endpoint) half of ``dec1.W``."""
+    W = P["dec1.W"]
+    d = W.shape[0] // 2
+    lo = {"top": 0, "bottom": d}[half]
+    return h @ ad.narrow(W, lo, lo + d)
+
+
+def combine(
+    top: Tensor, bot: Tensor, u_of_pair: np.ndarray, v_of_pair: np.ndarray,
+    P: dict[str, Tensor],
+) -> tuple[Tensor, Tensor]:
+    """(probabilities, logits) of the pairs (``top[u_of_pair[k]]``,
+    ``bot[v_of_pair[k]]``): the rest of the decoder after :func:`project`."""
+    z = ad.relu(ad.rows(top, u_of_pair) + ad.rows(bot, v_of_pair) + P["dec1.b"])
+    logits = z @ P["dec2.W"] + P["dec2.b"]
+    return ad.sigmoid(logits), logits
+
+
 def decode_pairs(
     hidden: Tensor, us: np.ndarray, vs: np.ndarray, P: dict[str, Tensor]
 ) -> tuple[Tensor, Tensor]:
@@ -214,15 +234,11 @@ def decode_pairs(
     ``concat(h_u, h_v) @ dec1.W`` is evaluated as ``h_u @ W_top + h_v @ W_bot``:
     each distinct endpoint is projected once, then gathered per pair.
     """
-    W = P["dec1.W"]
-    h = W.shape[0] // 2
     u_nodes, u_of_pair = np.unique(us, return_inverse=True)
     v_nodes, v_of_pair = np.unique(vs, return_inverse=True)
-    top = ad.rows(hidden, u_nodes) @ ad.narrow(W, 0, h)
-    bot = ad.rows(hidden, v_nodes) @ ad.narrow(W, h, 2 * h)
-    z = ad.relu(ad.rows(top, u_of_pair) + ad.rows(bot, v_of_pair) + P["dec1.b"])
-    logits = z @ P["dec2.W"] + P["dec2.b"]
-    return ad.sigmoid(logits), logits
+    top = project(ad.rows(hidden, u_nodes), P, "top")
+    bot = project(ad.rows(hidden, v_nodes), P, "bottom")
+    return combine(top, bot, u_of_pair, v_of_pair, P)
 
 
 def batch_loss(p_pos: Tensor, p_neg: Tensor | None, eps: float = LOSS_EPS) -> Tensor:
@@ -417,13 +433,23 @@ def _forward_loss(
 ) -> tuple[Tensor, dict[str, Tensor]]:
     """The loss of one batch and the parameter leaves it was computed from."""
     P = as_leaves(params)
-    hidden = encode(sf, P, config)
+    return _decode_loss(encode(sf, P, config), P, us, vs, neg_u, neg_v), P
+
+
+def _decode_loss(
+    hidden: Tensor,
+    P: dict[str, Tensor],
+    us: np.ndarray,
+    vs: np.ndarray,
+    neg_u: np.ndarray,
+    neg_v: np.ndarray,
+) -> Tensor:
+    """The loss of one batch from the encoder output *hidden*."""
     p_pos, _ = decode_pairs(hidden, us, vs, P)
     p_neg = None
     if len(neg_u):
         p_neg, _ = decode_pairs(hidden, neg_u, neg_v, P)
-    loss = batch_loss(p_pos, p_neg)
-    return loss, P
+    return batch_loss(p_pos, p_neg)
 
 
 def train_model(
@@ -491,7 +517,7 @@ class GradCheckReport:
 
 
 def compare_grads(
-    forward: Callable[[], float],
+    forward: Callable[[str], float],
     params: dict[str, np.ndarray],
     analytic: dict[str, np.ndarray],
     rng: np.random.Generator,
@@ -501,6 +527,8 @@ def compare_grads(
     denom_floor: float = 1e-6,
 ) -> GradCheckReport:
     """Central finite differences on a stratified random sample of parameters.
+
+    ``forward(name)`` evaluates the loss while parameter *name* is perturbed.
 
     The relative error uses ``max(|analytic|, |fd|, denom_floor)`` as the
     denominator: central differences at step ``h`` on an O(1) loss carry about
@@ -529,10 +557,10 @@ def compare_grads(
             orig = flat[i]
             flat[i] = orig + h
             with ad.trace_masks() as masks_plus:
-                f_plus = forward()
+                f_plus = forward(name)
             flat[i] = orig - h
             with ad.trace_masks() as masks_minus:
-                f_minus = forward()
+                f_minus = forward(name)
             flat[i] = orig
             if not ad.same_masks(masks_plus, masks_minus):
                 kinked += 1
@@ -559,7 +587,11 @@ def gradient_check(
     tolerance: float = 1e-4,
     max_positives: int = 16,
 ) -> GradCheckReport:
-    """Verify analytic gradients of encoder+decoder+loss in 64-bit arithmetic."""
+    """Verify analytic gradients of encoder+decoder+loss in 64-bit arithmetic.
+
+    A probe of a decoder parameter (``dec*``) cannot change the encoder
+    output, so it decodes from the unperturbed one instead of encoding again.
+    """
     rng = np.random.default_rng(seed)
     params64 = {k: v.astype(np.float64) for k, v in params.items()}
     edges = sf.graph.edges
@@ -570,16 +602,19 @@ def gradient_check(
     us, vs = edges[sel, 0], edges[sel, 1]
     neg_u, neg_v = sample_negatives(sf, us, vs, rng)
 
-    loss, P = _forward_loss(sf, params64, config, us, vs, neg_u, neg_v)
-    loss.backward()
+    P = as_leaves(params64)
+    hidden = encode(sf, P, config)
+    _decode_loss(hidden, P, us, vs, neg_u, neg_v).backward()
     analytic = {
         name: (t.grad if t.grad is not None else np.zeros_like(t.data))
         for name, t in P.items()
     }
+    unperturbed = Tensor(hidden.data)
 
-    def forward() -> float:
-        val, _ = _forward_loss(sf, params64, config, us, vs, neg_u, neg_v)
-        return float(val.data)
+    def forward(name: str) -> float:
+        P = as_leaves(params64)
+        h = unperturbed if name.startswith("dec") else encode(sf, P, config)
+        return float(_decode_loss(h, P, us, vs, neg_u, neg_v).data)
 
     return compare_grads(
         forward, params64, analytic, rng, sample_fraction=sample_fraction, h=h,

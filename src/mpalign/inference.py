@@ -2,12 +2,15 @@
 
 The score matrix for a language pair inside one sentence averages the decoder
 output over both argument orders, so transposing the pair transposes the
-matrix exactly. Directional candidate sets keep, per row, the best cell whose
-row-softmax mass exceeds ``alpha / row_length``; grow-diag-final-and then
-symmetrizes the forward and backward sets.
+matrix: exactly for some shapes, otherwise up to float32 rounding, because the
+decoder's last product rounds a pair's score by its position among the pairs.
+Directional candidate sets keep, per row, the best cell whose row-softmax mass
+exceeds ``alpha / row_length``; grow-diag-final-and then symmetrizes the
+forward and backward sets.
 """
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +31,63 @@ class ScoreMatrix:
     mode: str  # "logit" or "prob"
 
 
+def score_matrices(
+    feats: Sequence[SentenceFeatures],
+    params: dict[str, np.ndarray],
+    lang_x: str,
+    lang_y: str,
+    config: FeatureConfig,
+    mode: str = "logit",
+) -> list[ScoreMatrix]:
+    """Score every (x_i, y_j) pair of each sentence; each result is symmetric
+    under role swap (see the module docstring).
+
+    Each sentence is encoded once. The ``lang_x`` rows and the ``lang_y`` rows
+    of all sentences are stacked and projected through each half of
+    ``dec1.W`` once per call, and each sentence then combines both argument
+    orders from its rows of the four projections.
+    """
+    if mode not in ("logit", "prob"):
+        raise ValueError(f"unknown score mode {mode!r}")
+    for sf in feats:
+        g = sf.graph
+        if lang_x not in g.offsets or lang_y not in g.offsets:
+            missing = lang_x if lang_x not in g.offsets else lang_y
+            raise ValueError(f"sentence {g.sentence_id}: language {missing!r} not present")
+    if not feats:
+        return []
+    P = {name: Tensor(arr) for name, arr in params.items()}
+    x_rows, y_rows = [], []
+    for sf in feats:
+        hidden = gnn.encode(sf, P, config).data
+        start_x, m = sf.graph.offsets[lang_x]
+        start_y, l = sf.graph.offsets[lang_y]
+        # copies: a view would keep the sentence's whole encoder output alive
+        x_rows.append(hidden[start_x : start_x + m].copy())
+        y_rows.append(hidden[start_y : start_y + l].copy())
+    X = Tensor(np.concatenate(x_rows))
+    Y = Tensor(np.concatenate(y_rows))
+    x_top, x_bot = gnn.project(X, P, "top"), gnn.project(X, P, "bottom")
+    y_top, y_bot = gnn.project(Y, P, "top"), gnn.project(Y, P, "bottom")
+
+    out = []
+    x0 = y0 = 0
+    for xr, yr in zip(x_rows, y_rows):
+        m, l = len(xr), len(yr)
+        xs = np.repeat(np.arange(x0, x0 + m), l)
+        ys = np.tile(np.arange(y0, y0 + l), m)
+        p_fwd, l_fwd = gnn.combine(x_top, y_bot, xs, ys, P)
+        p_bwd, l_bwd = gnn.combine(y_top, x_bot, ys, xs, P)
+        if mode == "logit":
+            fwd, bwd = l_fwd.data, l_bwd.data
+        else:
+            fwd, bwd = p_fwd.data, p_bwd.data
+        values = 0.5 * (fwd.reshape(m, l) + bwd.reshape(m, l))
+        out.append(ScoreMatrix(lang_x, lang_y, values.astype(np.float64), mode))
+        x0, y0 = x0 + m, y0 + l
+    return out
+
+
 def score_matrix(
     sf: SentenceFeatures,
     params: dict[str, np.ndarray],
@@ -36,27 +96,8 @@ def score_matrix(
     config: FeatureConfig,
     mode: str = "logit",
 ) -> ScoreMatrix:
-    """Score every (x_i, y_j) pair; the result is symmetric under role swap."""
-    g = sf.graph
-    if lang_x not in g.offsets or lang_y not in g.offsets:
-        missing = lang_x if lang_x not in g.offsets else lang_y
-        raise ValueError(f"sentence {g.sentence_id}: language {missing!r} not present")
-    if mode not in ("logit", "prob"):
-        raise ValueError(f"unknown score mode {mode!r}")
-    start_x, m = g.offsets[lang_x]
-    start_y, l = g.offsets[lang_y]
-    P = {name: Tensor(arr) for name, arr in params.items()}
-    hidden = gnn.encode(sf, P, config)
-    xs = np.repeat(np.arange(start_x, start_x + m), l)
-    ys = np.tile(np.arange(start_y, start_y + l), m)
-    p_fwd, l_fwd = gnn.decode_pairs(hidden, xs, ys, P)
-    p_bwd, l_bwd = gnn.decode_pairs(hidden, ys, xs, P)
-    if mode == "logit":
-        fwd, bwd = l_fwd.data, l_bwd.data
-    else:
-        fwd, bwd = p_fwd.data, p_bwd.data
-    values = 0.5 * (fwd.reshape(m, l) + bwd.reshape(m, l))
-    return ScoreMatrix(lang_x, lang_y, values.astype(np.float64), mode)
+    """:func:`score_matrices` of one sentence."""
+    return score_matrices([sf], params, lang_x, lang_y, config, mode)[0]
 
 
 def _row_softmax(s: np.ndarray) -> np.ndarray:
@@ -146,6 +187,17 @@ def gdfa(
     return aligned
 
 
+def threshold_gdfa(
+    s: ScoreMatrix, alpha: float, orig_gdfa: LinkSet | None = None
+) -> LinkSet:
+    """Thresholded GDFA of one score matrix; ``orig_gdfa`` (the bilingual
+    aligner's GDFA links) joins the union only."""
+    forward = threshold_directional(s.values, alpha, "forward")
+    backward = threshold_directional(s.values, alpha, "backward")
+    m, l = s.values.shape
+    return gdfa(forward, backward, m, l, extra_union=orig_gdfa)
+
+
 def tgdfa(
     sf: SentenceFeatures,
     params: dict[str, np.ndarray],
@@ -156,10 +208,7 @@ def tgdfa(
     mode: str = "logit",
     orig_gdfa: LinkSet | None = None,
 ) -> LinkSet:
-    """Thresholded GDFA; ``orig_gdfa`` (the bilingual aligner's GDFA links)
-    joins the union only."""
-    s = score_matrix(sf, params, lang_x, lang_y, config, mode)
-    forward = threshold_directional(s.values, alpha, "forward")
-    backward = threshold_directional(s.values, alpha, "backward")
-    m, l = s.values.shape
-    return gdfa(forward, backward, m, l, extra_union=orig_gdfa)
+    """:func:`threshold_gdfa` of one sentence's :func:`score_matrix`."""
+    return threshold_gdfa(
+        score_matrix(sf, params, lang_x, lang_y, config, mode), alpha, orig_gdfa
+    )

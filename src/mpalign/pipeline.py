@@ -39,7 +39,7 @@ from .features import (
 )
 from .gnn import TrainConfig, train_model
 from .graph import AlignmentGraph, build_graph
-from .inference import tgdfa
+from .inference import score_matrices, threshold_gdfa
 
 logger = logging.getLogger(__name__)
 
@@ -498,8 +498,19 @@ def align_with_model(
     test_ids: Sequence[str],
     cfg: PipelineConfig,
     out_path: Path,
-) -> None:
+) -> int:
+    """Align ``cfg.pair`` in the *test_ids* sentences that hold both of its
+    languages, write the links to *out_path* and return how many sentences
+    that was. A pair language absent from the corpus or the checkpoint is
+    refused before any sentence is featurized."""
     params, standardizer, languages, vocab, tc = load_checkpoint(model_path)
+    for lang in cfg.pair:
+        if lang not in corpus.languages or lang not in languages:
+            raise ValueError(
+                f"pair language {lang!r} is not in both the corpus "
+                f"({', '.join(corpus.languages)}) and the checkpoint "
+                f"({', '.join(languages)})"
+            )
     lang_index = {lang: i for i, lang in enumerate(languages)}
     orig = (
         load_pharaoh(cfg.orig, cfg.pair, one_based=cfg.one_based)
@@ -514,13 +525,13 @@ def align_with_model(
         if la in corpus.sentences.get(sid, {}) and lb in corpus.sentences.get(sid, {})
     ]
     feats = featurize_ids(graphs, ids, standardizer, lang_index, vocab, tc.feature)
-    for sf in feats:
-        sid = sf.graph.sentence_id
-        result.links[sid] = tgdfa(
-            sf, params, la, lb, tc.feature, alpha=cfg.alpha, mode=cfg.threshold_on,
-            orig_gdfa=orig.links.get(sid) if orig else None,
+    scores = score_matrices(feats, params, la, lb, tc.feature, cfg.threshold_on)
+    for sid, s in zip(ids, scores):
+        result.links[sid] = threshold_gdfa(
+            s, cfg.alpha, orig.links.get(sid) if orig else None
         )
     write_pharaoh(result, out_path)
+    return len(ids)
 
 
 def evaluate_predictions(

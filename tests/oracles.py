@@ -529,3 +529,30 @@ def adamw_reference(params, grads, m, v, t, lr=1e-3, betas=(0.9, 0.999), eps=1e-
         v[name] += (1.0 - b2) * (g * g - v[name])
         p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
     return t
+
+
+def gradient_check_reference(sf, params, config, seed=0, sample_fraction=0.01, h=1e-5,
+                             tolerance=1e-4, max_positives=16):
+    """``gnn.gradient_check`` with every probe running the whole model."""
+    from mpalign import gnn
+
+    rng = np.random.default_rng(seed)
+    params64 = {k: v.astype(np.float64) for k, v in params.items()}
+    edges = sf.graph.edges
+    take = min(max_positives, len(edges))
+    sel = rng.choice(len(edges), size=take, replace=False)
+    us, vs = edges[sel, 0], edges[sel, 1]
+    neg_u, neg_v = gnn.sample_negatives(sf, us, vs, rng)
+    loss, P = gnn._forward_loss(sf, params64, config, us, vs, neg_u, neg_v)
+    loss.backward()
+    analytic = {
+        name: (t.grad if t.grad is not None else np.zeros_like(t.data))
+        for name, t in P.items()
+    }
+
+    def forward(name):
+        val, _ = gnn._forward_loss(sf, params64, config, us, vs, neg_u, neg_v)
+        return float(val.data)
+
+    return gnn.compare_grads(forward, params64, analytic, rng,
+                             sample_fraction=sample_fraction, h=h, tolerance=tolerance)

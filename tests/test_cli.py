@@ -464,3 +464,79 @@ def test_same_language_alignment_file_rejected(synth_dir, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "l00-l00.align pairs l00 with itself" in err
+
+
+@pytest.fixture(scope="module")
+def trained_model(synth_dir, tmp_path_factory):
+    run = tmp_path_factory.mktemp("model")
+    rc = main([
+        "train", "--data", str(synth_dir), "--out", str(run),
+        "--train-ids", str(synth_dir / "train_ids.txt"), "--hidden", "32", "--seed", "3",
+    ])
+    assert rc == 0
+    return run / "model.mpwa"
+
+
+def align(data, model, pair, out):
+    return main([
+        "align", "--data", str(data), "--model", str(model), "--pair", pair,
+        "--out", str(out), "--test-ids", str(data / "test_ids.txt"),
+    ])
+
+
+def test_align_refuses_pair_language_missing_from_corpus(
+    synth_dir, trained_model, tmp_path, capsys
+):
+    out = tmp_path / "x.align"
+    assert align(synth_dir, trained_model, "l00,l09", out) == 1
+    err = capsys.readouterr().err
+    assert "'l09'" in err
+    assert "corpus (l00, l01, l02)" in err and "checkpoint (l00, l01, l02)" in err
+    assert not out.exists()
+
+
+def test_align_refuses_pair_language_missing_from_checkpoint(
+    synth_dir, trained_model, tmp_path, capsys
+):
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    shutil.copy(data / "l02.txt", data / "l03.txt")
+    out = tmp_path / "x.align"
+    assert align(data, trained_model, "l03,l00", out) == 1
+    err = capsys.readouterr().err
+    assert "'l03'" in err
+    assert "corpus (l00, l01, l02, l03)" in err and "checkpoint (l00, l01, l02)" in err
+    assert not out.exists()
+
+
+def test_align_reports_the_sentences_it_aligned(synth_dir, trained_model, tmp_path, capsys):
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    test_ids = (data / "test_ids.txt").read_text().split()
+    dropped = set(test_ids[:3])
+    lines = (data / "l02.txt").read_text().splitlines(keepends=True)
+    (data / "l02.txt").write_text(
+        "".join(line for line in lines if line.split("\t")[0] not in dropped)
+    )
+    out = tmp_path / "x.align"
+    capsys.readouterr()
+    assert align(data, trained_model, "l00,l02", out) == 0
+    n = len(test_ids) - len(dropped)
+    assert f"aligned {n} sentences" in capsys.readouterr().out
+    assert len(out.read_text().splitlines()) == n
+
+
+def test_pipeline_refuses_pair_language_missing_from_corpus(synth_dir, tmp_path, capsys):
+    rc = main([
+        "pipeline", "--data", str(synth_dir), "--out", str(tmp_path / "run"),
+        "--pair", "l00,l09", "--train-ids", str(synth_dir / "train_ids.txt"),
+        "--test-ids", str(synth_dir / "test_ids.txt"), "--hidden", "32", "--seed", "3",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "'align' failed" in err and "'l09'" in err and "corpus (l00, l01, l02)" in err
+    assert not (tmp_path / "run" / "l00-l09.tgdfa.align").exists()

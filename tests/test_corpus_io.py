@@ -107,6 +107,49 @@ class TestPharaoh:
         path = write(tmp_path, "a.align", "v1\t\n")
         assert load_pharaoh(path, ("a", "b")).links["v1"] == set()
 
+    def test_bad_link_names_its_line(self, tmp_path):
+        path = write(tmp_path, "a.align", "v1\t0-0 1-1\nv2\t0-1\nv3\t0-0 1-2-3 4\n")
+        with pytest.raises(CorpusFormatError, match=r"a\.align:3: bad link '1-2-3'"):
+            load_pharaoh(path, ("a", "b"))
+
+    def test_one_based_zero_names_its_line(self, tmp_path):
+        path = write(tmp_path, "a.align", "v1\t1-1\nv2\t2-2 1-0\n")
+        with pytest.raises(CorpusFormatError, match=r"a\.align:2: negative index in '1-0'"):
+            load_pharaoh(path, ("a", "b"), one_based=True)
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["0-0", "3-12", "10-2", "1-23-4", "12", "1--2", "-1-2", "1-", "-", "+1-2",
+                 "0-x", "٣-1", "00-7", "5000-1"]
+            ),
+            max_size=6,
+        ),
+        st.sampled_from([" ", "  ", "\t"]),
+        st.booleans(),
+    )
+    def test_line_parse_matches_item_by_item(self, items, sep, one_based):
+        """The one-pass line parse gives the links, or the error, that parsing
+        each item on its own gives."""
+        import tempfile
+        from pathlib import Path
+
+        from mpalign.corpus import _parse_index_pair
+
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "x.align"
+            path.write_text("v0\t1-1\nv1\t" + sep.join(items) + "\n", encoding="utf-8")
+            try:
+                expected = {
+                    _parse_index_pair(item, "-", path, 2, one_based) for item in items
+                }
+            except CorpusFormatError as exc:
+                with pytest.raises(CorpusFormatError) as got:
+                    load_pharaoh(path, ("a", "b"), one_based=one_based)
+                assert str(got.value) == str(exc)
+                return
+            assert load_pharaoh(path, ("a", "b"), one_based=one_based).links["v1"] == expected
+
     @given(
         st.dictionaries(
             st.from_regex(r"v[0-9]{1,3}", fullmatch=True),

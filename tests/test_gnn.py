@@ -19,6 +19,7 @@ from oracles import (
     arbitrary_graph,
     assemble_reference,
     gat_scalar,
+    gradient_check_reference,
     loss_scalar,
     random_graph,
     sample_negatives_reference,
@@ -492,6 +493,27 @@ class TestGradientCheck:
         assert report.ok, report.worst
         assert report.max_rel_error < 1e-4
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_report_equals_whole_model_probes(self, seed, monkeypatch):
+        """Decoder probes decode from the cached encoder output and every other
+        probe encodes again; the report is the one whole-model probes give."""
+        sf, vocab, fc = make_bundle(seed=seed)
+        cfg = gnn.TrainConfig(hidden=32, feature=fc)
+        params = gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(seed))
+        expected = gradient_check_reference(sf, params, fc, seed=seed, sample_fraction=0.05)
+        encodes = []
+        encode = gnn.encode
+        monkeypatch.setattr(gnn, "encode", lambda *a, **k: encodes.append(1) or encode(*a, **k))
+        report = gnn.gradient_check(sf, params, fc, seed=seed, sample_fraction=0.05)
+        assert report == expected
+        assert report.ok and report.n_checked > 0
+        # one encode for the analytic pass, two per probed non-decoder sample
+        probed = sum(
+            max(1, round(0.05 * p.size)) for name, p in params.items()
+            if not name.startswith("dec")
+        )
+        assert len(encodes) == 1 + 2 * probed
+
     def test_uniform_attention_matches_closed_form(self):
         # attention logits forced equal (a = 0): the encoder collapses to
         # fixed neighborhood averaging, so the gradients of the affine path
@@ -568,7 +590,7 @@ class TestGradientCheck:
                     for k, t in P.items()}
         analytic["dec2.W"] += 1.0  # corruption
 
-        def forward():
+        def forward(name):
             val, _ = gnn._forward_loss(sf, params, fc, us, vs, neg_u, neg_v)
             return float(val.data)
 

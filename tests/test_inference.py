@@ -3,14 +3,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mpalign import gnn
+from mpalign import gnn, inference
+from mpalign.features import FeatureConfig, FeatureStandardizer, centralities, featurize
+from mpalign.graph import AlignmentGraph
 from mpalign.inference import (
     gdfa,
+    score_matrices,
     score_matrix,
     tgdfa,
     threshold_directional,
 )
 
+from oracles import random_multilingual_graph
 from test_gnn import make_bundle
 
 link_sets = st.sets(st.tuples(st.integers(0, 5), st.integers(0, 7)), max_size=10)
@@ -40,6 +44,94 @@ class TestScoreMatrix:
     def test_missing_language_rejected(self):
         with pytest.raises(ValueError, match="deu"):
             score_matrix(self.sf, self.params, "eng", "deu", self.fc)
+
+
+def mixed_batch(n_sentences=9, hidden=32, seed=4):
+    """Featurized random sentences of 1 to 9 tokens per language, and a model."""
+    rng = np.random.default_rng(seed)
+    graphs = [
+        AlignmentGraph(f"s{k}", g.tokens, g.edges)
+        for k, g in (
+            (k, random_multilingual_graph(rng, 3, 9, 0.3)) for k in range(n_sentences)
+        )
+    ]
+    langs = sorted(graphs[0].offsets)
+    vocab = {w: i for i, w in enumerate(sorted(
+        {(lang, tok) for g in graphs for lang in langs for tok in g.tokens[lang]}))}
+    fc = FeatureConfig()
+    std = FeatureStandardizer.fit([centralities(g) for g in graphs])
+    feats = [featurize(g, std, {lang: i for i, lang in enumerate(langs)}, vocab, fc)
+             for g in graphs]
+    cfg = gnn.TrainConfig(hidden=hidden, feature=fc)
+    params = gnn.init_params(cfg, len(langs), len(vocab), rng)
+    return feats, params, fc
+
+
+class TestScoreMatrices:
+    def setup_method(self):
+        self.feats, self.params, self.fc = mixed_batch()
+
+    def test_batch_has_mixed_lengths(self):
+        lengths = [(sf.graph.offsets["l00"][1], sf.graph.offsets["l01"][1])
+                   for sf in self.feats]
+        assert min(m for m, _ in lengths) < 4 <= max(m for m, _ in lengths)
+        assert any(m != l for m, l in lengths)
+
+    @pytest.mark.parametrize("mode", ["logit", "prob"])
+    @pytest.mark.parametrize("pair", [("l00", "l01"), ("l02", "l00")])
+    def test_each_sentence_as_scored_alone(self, mode, pair):
+        batch = score_matrices(self.feats, self.params, *pair, self.fc, mode)
+        assert len(batch) == len(self.feats)
+        for sf, s in zip(self.feats, batch):
+            alone = score_matrix(sf, self.params, *pair, self.fc, mode)
+            assert (s.source_lang, s.target_lang, s.mode) == (*pair, mode)
+            assert s.values.shape == alone.values.shape
+            np.testing.assert_allclose(s.values, alone.values, rtol=1e-6)
+            assert inference.threshold_gdfa(s, 2.0) == tgdfa(
+                sf, self.params, *pair, self.fc, alpha=2.0, mode=mode
+            )
+
+    def test_transpose_symmetry(self):
+        # float32 rounding of the last decoder product depends on a pair's
+        # position among the pairs, so for some shapes this is not exact
+        xy = score_matrices(self.feats, self.params, "l00", "l01", self.fc)
+        yx = score_matrices(self.feats, self.params, "l01", "l00", self.fc)
+        for a, b in zip(xy, yx):
+            np.testing.assert_allclose(a.values, b.values.T, rtol=1e-6)
+
+    def test_one_encode_per_sentence_and_four_projections(self, monkeypatch):
+        calls = {"encode": 0, "project": []}
+        encode, project = gnn.encode, gnn.project
+
+        def counting_encode(*args, **kwargs):
+            calls["encode"] += 1
+            return encode(*args, **kwargs)
+
+        def counting_project(h, P, half):
+            calls["project"].append((len(h.data), half))
+            return project(h, P, half)
+
+        monkeypatch.setattr(gnn, "encode", counting_encode)
+        monkeypatch.setattr(gnn, "project", counting_project)
+        score_matrices(self.feats, self.params, "l00", "l01", self.fc)
+        assert calls["encode"] == len(self.feats)
+        m = sum(sf.graph.offsets["l00"][1] for sf in self.feats)
+        l = sum(sf.graph.offsets["l01"][1] for sf in self.feats)
+        assert sorted(calls["project"]) == sorted(
+            [(m, "top"), (m, "bottom"), (l, "top"), (l, "bottom")]
+        )
+
+    def test_no_sentences(self):
+        assert score_matrices([], self.params, "l00", "l01", self.fc) == []
+
+    def test_missing_language_rejected_before_encoding(self, monkeypatch):
+        monkeypatch.setattr(gnn, "encode", None)
+        with pytest.raises(ValueError, match="l07"):
+            score_matrices(self.feats, self.params, "l00", "l07", self.fc)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="score mode"):
+            score_matrices(self.feats, self.params, "l00", "l01", self.fc, "rank")
 
 
 class TestThreshold:
