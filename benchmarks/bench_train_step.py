@@ -3,11 +3,14 @@
 
 Builds ``SENTENCES`` fixed synthetic sentence graphs (8 languages x 6 tokens,
 the sentence shape of the end-to-end benchmark), initializes a hidden-512
-model and cycles over them with the step ``train_model`` runs: encode, decode
-of the positives and their negatives, loss, backward and the AdamW update.
+model and cycles over them with the step ``train_model`` runs: encode, one
+decoder pass over the positives and their negatives (as ``gnn._decode_loss``
+runs it), loss, backward and the AdamW update.
 As in ``train_model``, a step's tape lives until the next step's forward is
 done. Each layer is timed in each of ``REPEATS`` steps (after ``WARMUP``
-warm-up steps).
+warm-up steps). The ``infer`` row then times ``REPEATS`` tape-free encodes
+back to back, as ``inference.score_matrices`` runs them, on the same
+sentences and the trained parameters.
 Prints the best and the median in ms with the spread (upper minus lower
 quartile) per layer, and the minor page faults per timed step, or one JSON
 object with ``--json``.
@@ -24,6 +27,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 from mpalign import gnn, synth  # noqa: E402
+from mpalign.autodiff import Tensor, narrow  # noqa: E402
 from mpalign.features import (  # noqa: E402
     FeatureConfig,
     FeatureStandardizer,
@@ -33,6 +37,7 @@ from mpalign.features import (  # noqa: E402
 from mpalign.graph import build_graph  # noqa: E402
 
 LAYERS = ("encode", "decode", "loss", "backward", "adamw")
+ROWS = LAYERS + ("step", "infer")
 REPEATS = 100
 WARMUP = 3
 SENTENCES = 8
@@ -65,21 +70,21 @@ def make_step_inputs(hidden=512, seed=0):
         sf = featurize(g, standardizer, lang_index, vocab, fc)
         us, vs = g.edges[:, 0], g.edges[:, 1]
         neg_u, neg_v = gnn.sample_negatives(sf, us, vs, np.random.default_rng(seed))
-        steps.append((sf, (us, vs, neg_u, neg_v)))
+        pairs = (np.concatenate([us, neg_u]), np.concatenate([vs, neg_v]), len(us))
+        steps.append((sf, pairs))
     return steps, config, params
 
 
 def timed_step(sf, pairs, config, params, opt) -> tuple[dict[str, float], tuple]:
     """The layer times of one step, and the step's loss and leaves."""
-    us, vs, neg_u, neg_v = pairs
+    us, vs, n_pos = pairs
     t0 = time.perf_counter()
     P = gnn.as_leaves(params)
     hidden = gnn.encode(sf, P, config.feature)
     t1 = time.perf_counter()
-    p_pos, _ = gnn.decode_pairs(hidden, us, vs, P)
-    p_neg, _ = gnn.decode_pairs(hidden, neg_u, neg_v, P)
+    p, _ = gnn.decode_pairs(hidden, us, vs, P)
     t2 = time.perf_counter()
-    loss = gnn.batch_loss(p_pos, p_neg)
+    loss = gnn.batch_loss(narrow(p, 0, n_pos), narrow(p, n_pos, len(us)))
     t3 = time.perf_counter()
     loss.backward()
     t4 = time.perf_counter()
@@ -106,14 +111,20 @@ def run_suite(hidden=512):
         times, held = timed_step(*steps[k % len(steps)], config, params, opt)
         samples.append(times)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    frozen = {name: Tensor(arr) for name, arr in params.items()}
+    for k in range(WARMUP + REPEATS):
+        t0 = time.perf_counter()
+        gnn.encode(steps[k % len(steps)][0], frozen, config.feature)
+        if k >= WARMUP:
+            samples[k - WARMUP]["infer"] = time.perf_counter() - t0
     results = {
         "sentences": len(steps),
         "nodes": float(np.mean([sf.graph.n for sf, _ in steps])),
-        "pairs": float(np.mean([len(p[0]) + len(p[2]) for _, p in steps])),
+        "pairs": float(np.mean([len(p[0]) for _, p in steps])),
         "hidden": hidden,
         "repeats": REPEATS,
     }
-    for name in LAYERS + ("step",):
+    for name in ROWS:
         ms = np.array([s[name] for s in samples]) * 1000.0
         q1, med, q3 = np.percentile(ms, [25, 50, 75])
         results[f"{name}_best_ms"] = float(ms.min())
@@ -138,7 +149,7 @@ def main():
         f"{results['repeats']} steps):"
     )
     print(f"  {'layer':>9}  {'best ms':>8}  {'median ms':>9}  {'IQR ms':>7}")
-    for name in LAYERS + ("step",):
+    for name in ROWS:
         print(
             f"  {name:>9}  {results[f'{name}_best_ms']:8.2f}  "
             f"{results[f'{name}_median_ms']:9.2f}  {results[f'{name}_iqr_ms']:7.2f}"

@@ -1,7 +1,8 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Only the operations the link predictor needs are implemented: matmul,
-broadcasting add/mul/sub/div, gather/slice of rows, segment sums, concat,
+broadcasting add/mul/sub/div, gather/slice of rows, segment sums, attention
+aggregation (``attend``, one sparse product), concat,
 ReLU/LeakyReLU/sigmoid/exp/log/clip, and full reductions. Gradients follow the
 dtype of the forward data (float32 for training, float64 for gradient checks).
 """
@@ -189,6 +190,9 @@ def constant(data, dtype=None) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """``max(x, 0)`` as a mask product. Adding +0.0 turns the -0.0 that a
+    negative entry times 0 gives into +0.0, so for finite input the bits are
+    those of ``np.where(x > 0, x, 0.0)``."""
     mask = x.data > 0
     _record_mask(mask)
 
@@ -196,7 +200,9 @@ def relu(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(g * mask)
 
-    return Tensor(np.where(mask, x.data, 0.0).astype(x.dtype), parents=(x,), backward=backward)
+    out = x.data * mask
+    out += 0.0
+    return Tensor(out, parents=(x,), backward=backward)
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
@@ -332,6 +338,32 @@ def segment_sum(x: Tensor, starts: np.ndarray) -> Tensor:
     return Tensor(
         np.add.reduceat(x.data, starts, axis=0), parents=(x,), backward=backward
     )
+
+
+def attend(alpha: Tensor, values: Tensor, nbr: np.ndarray, starts: np.ndarray) -> Tensor:
+    """Attention-weighted sums: row ``c`` of the result is the sum over node
+    ``c``'s slots ``k`` of ``alpha[k] * values[nbr[k]]``.
+
+    The slots of node ``c`` are ``starts[c]`` up to the next start, and
+    *alpha* holds one weight per slot, shape (slots, 1). The forward is one
+    CSR product ``A @ values`` with ``A[c, nbr[k]] = alpha[k]``, summed in
+    slot order; the backward is ``A.T @ g`` for *values* and, for *alpha*,
+    one row dot per slot, ``g[c] . values[nbr[k]]``.
+    """
+    n = len(starts)
+    indptr = np.append(starts, len(nbr))
+    A = sp.csr_array((alpha.data.reshape(-1), nbr, indptr), shape=(n, values.shape[0]))
+
+    def backward(g):
+        if values.requires_grad:
+            values._accumulate(A.T @ g)
+        if alpha.requires_grad:
+            center = np.repeat(np.arange(n), np.diff(indptr))
+            alpha._accumulate(
+                np.einsum("ij,ij->i", g[center], values.data[nbr])[:, None]
+            )
+
+    return Tensor(A @ values.data, parents=(alpha, values), backward=backward)
 
 
 def segment_max_constant(values: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -258,8 +258,9 @@ def cmd_train(args) -> int:
 
 def cmd_align(args) -> int:
     cfg = _pipeline_config(args, str(Path(args.out).parent))
-    corpus, graphs = _load_graphs(args)
-    ids = pl.select_ids(cfg.test_ids, graphs)
+    corpus, asets = pl.load_inputs(args.data, one_based=args.one_based)
+    ids = pl.select_ids(cfg.test_ids, corpus.sentences)
+    graphs = pl.build_all_graphs(corpus, asets, ids)
     n = pl.align_with_model(Path(args.model), graphs, corpus, ids, cfg, Path(args.out))
     print(f"aligned {n} sentences -> {args.out}")
     return 0

@@ -1,13 +1,15 @@
 """Graph-attention link predictor: encoder, decoder, loss, optimizer, training.
 
 The encoder is two single-head graph-attention layers followed by a fully
-connected layer (ReLU between layers); the decoder scores a node pair from the
-concatenated hidden states through a two-layer MLP ending in a sigmoid. Its
-first layer is evaluated as two per-node projections, one for each half of
-``dec1.W``, gathered per pair and summed: the same function, without a
-(pairs x 2h) product.
+connected layer (ReLU between layers); each attention layer sums its
+neighbourhoods as one sparse product (``autodiff.attend``). The decoder
+scores a node pair from the concatenated hidden states through a two-layer
+MLP ending in a sigmoid. Its first layer is evaluated as two per-node
+projections, one for each half of ``dec1.W``, gathered per pair and summed:
+the same function, without a (pairs x 2h) product.
 Training iterates sentence graphs, splits each graph's edges into batches of
-positives and samples two in-sentence negatives per positive.
+positives and samples two in-sentence negatives per positive; a batch's
+positives and negatives are decoded in one pass.
 """
 
 import math
@@ -190,8 +192,7 @@ def gat_layer(
     alpha = ex / ad.rows(denom, sf.att_center)
     if attn_out is not None:
         attn_out.append(alpha.data.copy())
-    msgs = ad.rows(wx, sf.att_nbr) * alpha
-    return ad.segment_sum(msgs, sf.att_starts)
+    return ad.attend(alpha, wx, sf.att_nbr, sf.att_starts)
 
 
 def encode(
@@ -444,12 +445,14 @@ def _decode_loss(
     neg_u: np.ndarray,
     neg_v: np.ndarray,
 ) -> Tensor:
-    """The loss of one batch from the encoder output *hidden*."""
-    p_pos, _ = decode_pairs(hidden, us, vs, P)
-    p_neg = None
-    if len(neg_u):
-        p_neg, _ = decode_pairs(hidden, neg_u, neg_v, P)
-    return batch_loss(p_pos, p_neg)
+    """The loss of one batch from the encoder output *hidden*: positives and
+    negatives are decoded in one pass and split by row."""
+    n_pos, n_all = len(us), len(us) + len(neg_u)
+    p, _ = decode_pairs(
+        hidden, np.concatenate([us, neg_u]), np.concatenate([vs, neg_v]), P
+    )
+    p_neg = ad.narrow(p, n_pos, n_all) if n_all > n_pos else None
+    return batch_loss(ad.narrow(p, 0, n_pos), p_neg)
 
 
 def train_model(

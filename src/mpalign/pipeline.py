@@ -12,7 +12,7 @@ import json
 import logging
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -167,10 +167,12 @@ def load_inputs(
 def build_all_graphs(
     corpus: MultiParallelCorpus,
     alignments: Sequence[BilingualAlignmentSet],
+    ids: Sequence[str] | None = None,
 ) -> dict[str, AlignmentGraph]:
+    """The sentence graph of each of *ids*, by default of every sentence."""
     return {
         sid: build_graph(sid, corpus.sentences[sid], alignments)
-        for sid in corpus.sentence_ids()
+        for sid in (corpus.sentence_ids() if ids is None else ids)
     }
 
 
@@ -178,14 +180,19 @@ def read_id_file(path: str | Path) -> list[str]:
     return [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
 
 
-def select_ids(
-    path: str | Path | None, graphs: Mapping[str, AlignmentGraph]
-) -> list[str]:
-    """The ids listed in *path* that have a graph, in file order; without a
-    file, every graph's id in sorted order."""
+def select_ids(path: str | Path | None, known: Collection[str]) -> list[str]:
+    """The ids listed in *path* that are *known* (sentences with a graph), in
+    file order; without a file, every known id in sorted order. A file that
+    selects no known id is refused."""
     if not path:
-        return sorted(graphs)
-    return [sid for sid in read_id_file(path) if sid in graphs]
+        return sorted(known)
+    listed = read_id_file(path)
+    ids = [sid for sid in listed if sid in known]
+    if not ids:
+        raise ValueError(
+            f"{path}: none of its {len(listed)} sentence ids names a sentence of the corpus"
+        )
+    return ids
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +319,12 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
         graphs = build_all_graphs(corpus, asets)
     except Exception as exc:  # noqa: BLE001 - stage boundary
         raise StageError("build-graph", exc) from exc
+    for lang in cfg.pair:
+        if lang not in corpus.languages:
+            raise ValueError(
+                f"pair language {lang!r} is not in the corpus "
+                f"({', '.join(corpus.languages)})"
+            )
 
     train_ids = select_ids(cfg.train_ids, graphs)
     test_ids = select_ids(cfg.test_ids, graphs)

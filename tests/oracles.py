@@ -435,6 +435,25 @@ def gat_scalar(x, w, a, g: AlignmentGraph, slope: float = 0.2) -> np.ndarray:
     return out
 
 
+def gat_aggregate_reference(alpha, values, nbr, starts):
+    """Attention aggregation as the encoder first composed it: gather each
+    slot's value row, scale it by the slot's weight and sum every node's slot
+    segment with ``np.add.reduceat`` (``segment_sum``). *alpha* and *values*
+    are Tensors, so the gradients of the composition can be compared too."""
+    from mpalign import autodiff as ad
+
+    return ad.segment_sum(ad.rows(values, nbr) * alpha, starts)
+
+
+def decode_loss_two_calls(hidden, P, us, vs, neg_u, neg_v):
+    """The batch loss with positives and negatives decoded in separate calls."""
+    from mpalign import gnn
+
+    p_pos, _ = gnn.decode_pairs(hidden, us, vs, P)
+    p_neg = gnn.decode_pairs(hidden, neg_u, neg_v, P)[0] if len(neg_u) else None
+    return gnn.batch_loss(p_pos, p_neg)
+
+
 def loss_scalar(p_pos, p_neg, eps: float = 1e-7) -> float:
     def clamp(p):
         return min(max(p, eps), 1.0 - eps)

@@ -1,10 +1,16 @@
 """Finite-difference checks for every autodiff op."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mpalign import autodiff as ad
 from mpalign.autodiff import Tensor
+from mpalign.features import attention_slots
+
+from oracles import arbitrary_graph, gat_aggregate_reference, random_multilingual_graph
 
 
 def fd_check(build, arrays, h=1e-6, tol=1e-6):
@@ -210,3 +216,78 @@ def test_first_gradient_is_not_shared(rng, sum_first):
     out.backward()
     np.testing.assert_allclose(a.grad, np.full((2, 2), 1.0))
     np.testing.assert_allclose(b.grad, np.full((2, 2), 0.25))
+
+
+def paper_scale_graph():
+    """The 84-language sentence graph of ``benchmarks/bench_kernels.py``."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.paper_scale_graph()
+
+
+def attend_cases():
+    rng = np.random.default_rng(5)
+    yield "isolated", arbitrary_graph(6, [(0, 1), (1, 4)]), 16  # nodes 2, 3, 5: one slot
+    yield "edgeless", arbitrary_graph(3, []), 16
+    for k in range(4):
+        yield f"random{k}", random_multilingual_graph(rng, 4, 7, 0.4), 512
+    yield "paper-scale", paper_scale_graph(), 8
+
+
+ATTEND_CASES = list(attend_cases())
+
+
+def sum_bound(alpha, values, nbr, starts, rtol):
+    """``rtol`` times the sum of the terms' magnitudes, per output element:
+    the scale of any reordering's rounding, also where the sum cancels."""
+    return rtol * np.add.reduceat(np.abs(values[nbr] * alpha), starts, axis=0)
+
+
+@pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+@pytest.mark.parametrize("case", ATTEND_CASES, ids=[c[0] for c in ATTEND_CASES])
+def test_attend_matches_gather_reduceat(case, dtype, rtol):
+    _, g, width = case
+    rng = np.random.default_rng(3)
+    _, nbr, starts = attention_slots(g)
+    alpha_np = rng.random((len(nbr), 1)).astype(dtype)
+    values_np = rng.normal(size=(g.n, width)).astype(dtype)
+    out_np = rng.normal(size=(g.n, width)).astype(dtype)
+
+    results = []
+    for op in (ad.attend, gat_aggregate_reference):
+        alpha = Tensor(alpha_np, requires_grad=True)
+        values = Tensor(values_np, requires_grad=True)
+        out = op(alpha, values, nbr, starts)
+        ad.mean(out * Tensor(out_np)).backward()
+        results.append((out.data, values.grad, alpha.grad))
+    (got, g_values, g_alpha), (ref, ref_values, ref_alpha) = results
+    assert got.dtype == g_values.dtype == g_alpha.dtype == dtype
+    assert got.shape == ref.shape and g_alpha.shape == alpha_np.shape
+    assert np.all(np.abs(got - ref) <= sum_bound(alpha_np, values_np, nbr, starts, rtol))
+    np.testing.assert_allclose(g_values, ref_values, rtol=rtol, atol=rtol * np.abs(ref_values).max())
+    np.testing.assert_allclose(g_alpha, ref_alpha, rtol=rtol, atol=rtol * np.abs(ref_alpha).max())
+
+
+def test_attend_finite_differences(rng):
+    # node 2 has only its self slot
+    g = arbitrary_graph(4, [(0, 1), (0, 3), (1, 3)])
+    _, nbr, starts = attention_slots(g)
+    w = rng.normal(size=(4, 3))
+    fd_check(
+        lambda ts: ad.mean(ad.attend(ts[0], ts[1], nbr, starts) * w),
+        [rng.random((len(nbr), 1)), rng.normal(size=(4, 3))],
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_bitwise_equals_where(dtype):
+    x = np.array(
+        [[0.0, -0.0, 1.5, -2.5], [1e-40, -1e-40, np.finfo(dtype).max, -np.finfo(dtype).max]],
+        dtype=dtype,
+    )
+    x = np.concatenate([x, np.random.default_rng(0).normal(size=(8, 4)).astype(dtype)])
+    out = ad.relu(Tensor(x)).data
+    assert out.dtype == dtype
+    assert out.tobytes() == np.where(x > 0, x, 0.0).astype(dtype).tobytes()

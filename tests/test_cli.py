@@ -4,6 +4,7 @@ import json
 import pytest
 
 from mpalign import cli
+from mpalign import pipeline as pl
 from mpalign.cli import main
 from mpalign.features import FeatureConfig
 from mpalign.gnn import TrainConfig
@@ -538,5 +539,80 @@ def test_pipeline_refuses_pair_language_missing_from_corpus(synth_dir, tmp_path,
     ])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "'align' failed" in err and "'l09'" in err and "corpus (l00, l01, l02)" in err
-    assert not (tmp_path / "run" / "l00-l09.tgdfa.align").exists()
+    assert "'l09'" in err and "corpus (l00, l01, l02)" in err
+    run = tmp_path / "run"
+    assert not (run / "l00-l09.tgdfa.align").exists()
+    # refused before any stage ran
+    for name in ("communities_gmc.tsv", "communities_lpc.tsv", "features", "model.mpwa"):
+        assert not (run / name).exists()
+
+
+def test_align_builds_only_the_graphs_it_aligns(
+    synth_dir, trained_model, tmp_path, monkeypatch
+):
+    built = []
+    real = pl.build_graph
+
+    def counting(sid, *args):
+        built.append(sid)
+        return real(sid, *args)
+
+    monkeypatch.setattr(pl, "build_graph", counting)
+    out = tmp_path / "x.align"
+    assert align(synth_dir, trained_model, "l00,l01", out) == 0
+    test_ids = (synth_dir / "test_ids.txt").read_text().split()
+    assert built == test_ids
+    # the same links as an align over every sentence's graph
+    monkeypatch.undo()
+    corpus, asets = pl.load_inputs(synth_dir)
+    cfg = PipelineConfig(data_dir=str(synth_dir), out_dir=str(tmp_path), pair=("l00", "l01"))
+    whole = tmp_path / "whole.align"
+    graphs = pl.build_all_graphs(corpus, asets)
+    pl.align_with_model(trained_model, graphs, corpus, test_ids, cfg, whole)
+    assert out.read_bytes() == whole.read_bytes()
+
+
+@pytest.fixture
+def unknown_ids(tmp_path):
+    path = tmp_path / "unknown_ids.txt"
+    path.write_text("nope-1\nnope-2\n")
+    return path
+
+
+def test_align_refuses_an_empty_selection(
+    synth_dir, trained_model, tmp_path, unknown_ids, capsys
+):
+    out = tmp_path / "x.align"
+    rc = main([
+        "align", "--data", str(synth_dir), "--model", str(trained_model),
+        "--pair", "l00,l01", "--out", str(out), "--test-ids", str(unknown_ids),
+    ])
+    assert rc == 1
+    assert f"{unknown_ids}: none of its 2 sentence ids" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_refuses_an_empty_selection(synth_dir, tmp_path, unknown_ids, capsys):
+    run = tmp_path / "run"
+    rc = main([
+        "train", "--data", str(synth_dir), "--out", str(run),
+        "--train-ids", str(unknown_ids), "--hidden", "32",
+    ])
+    assert rc == 1
+    assert f"{unknown_ids}: none of its 2 sentence ids" in capsys.readouterr().err
+    assert not (run / "model.mpwa").exists()
+
+
+@pytest.mark.parametrize("which", ["train", "test"])
+def test_pipeline_refuses_an_empty_selection(synth_dir, tmp_path, unknown_ids, capsys, which):
+    ids = {"train": synth_dir / "train_ids.txt", "test": synth_dir / "test_ids.txt"}
+    ids[which] = unknown_ids
+    run = tmp_path / "run"
+    rc = main([
+        "pipeline", "--data", str(synth_dir), "--out", str(run), "--pair", "l00,l01",
+        "--gold", str(synth_dir / "l00-l01.gold"), "--train-ids", str(ids["train"]),
+        "--test-ids", str(ids["test"]), "--hidden", "32", "--seed", "3",
+    ])
+    assert rc == 1
+    assert f"{unknown_ids}: none of its 2 sentence ids" in capsys.readouterr().err
+    assert not (run / "eval.tsv").exists() and not (run / "model.mpwa").exists()

@@ -18,6 +18,7 @@ from oracles import (
     adamw_reference,
     arbitrary_graph,
     assemble_reference,
+    decode_loss_two_calls,
     gat_scalar,
     gradient_check_reference,
     loss_scalar,
@@ -263,6 +264,39 @@ class TestLoss:
         better_pos = float(gnn.batch_loss(Tensor(np.array([[0.7]])), Tensor(np.array([[0.4]]))).data)
         worse_neg = float(gnn.batch_loss(Tensor(np.array([[0.6]])), Tensor(np.array([[0.5]]))).data)
         assert better_pos < base < worse_neg
+
+
+class TestDecodeLoss:
+    @pytest.mark.parametrize("negatives", [True, False])
+    def test_one_pass_equals_two_calls(self, negatives):
+        """Positives and negatives decoded in one pass give the loss and the
+        gradients of decoding them in two calls (float64)."""
+        edges = [[0, 4], [1, 5], [2, 6], [0, 5], [3, 4]]
+        sf, vocab, fc = make_bundle(n_eng=4, n_fra=3, edges=edges)
+        cfg = gnn.TrainConfig(hidden=16, feature=fc)
+        params = {
+            k: v.astype(np.float64)
+            for k, v in gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(2)).items()
+        }
+        us, vs = sf.graph.edges[:, 0], sf.graph.edges[:, 1]
+        neg_u, neg_v = gnn.sample_negatives(sf, us, vs, np.random.default_rng(1))
+        if not negatives:
+            neg_u, neg_v = neg_u[:0], neg_v[:0]
+        results = []
+        for decode_loss in (gnn._decode_loss, decode_loss_two_calls):
+            P = gnn.as_leaves(params)
+            loss = decode_loss(gnn.encode(sf, P, fc), P, us, vs, neg_u, neg_v)
+            loss.backward()
+            results.append((float(loss.data), {k: t.grad for k, t in P.items()}))
+        (loss, grads), (ref_loss, ref_grads) = results
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for name, ref in ref_grads.items():
+            if ref is None:
+                assert grads[name] is None, name
+                continue
+            np.testing.assert_allclose(
+                grads[name], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(), err_msg=name
+            )
 
 
 class TestAdamW:
