@@ -21,8 +21,8 @@ from .evaluation import EvalReport, community_alignment_eval, frequency_bins, sc
 from .features import FeatureConfig, FeatureStandardizer, centralities, featurize
 from .gnn import TrainConfig, gradient_check, train_model
 from .graph import AlignmentGraph, TokenNode, build_graph, connected_components
-from .inference import gdfa, score_matrix, tgdfa, threshold_directional
-from .projection import ProjectedSentence, direct_transfer, filter_x, project
+from .inference import gdfa, score_matrix, threshold_directional, threshold_gdfa
+from .projection import ProjectedSentence, filter_x, project
 
 __all__ = [
     "AlignmentGraph",
@@ -41,7 +41,6 @@ __all__ = [
     "centralities",
     "community_alignment_eval",
     "connected_components",
-    "direct_transfer",
     "featurize",
     "filter_x",
     "frequency_bins",
@@ -57,8 +56,8 @@ __all__ = [
     "refine_edges",
     "score",
     "score_matrix",
-    "tgdfa",
     "threshold_directional",
+    "threshold_gdfa",
     "train_model",
     "write_pharaoh",
 ]

@@ -198,9 +198,12 @@ def _pipeline_config(args, out_dir: str) -> pl.PipelineConfig:
     return cfg
 
 
-def _load_graphs(args):
+def _load_graphs(args, id_file: str | None = None):
+    """The corpus, the ids *id_file* selects from it (see
+    :func:`pipeline.select_ids`) and the graphs of just those sentences."""
     corpus, asets = pl.load_inputs(args.data, one_based=args.one_based)
-    return corpus, pl.build_all_graphs(corpus, asets)
+    ids = pl.select_ids(id_file, corpus.sentences)
+    return corpus, ids, pl.build_all_graphs(corpus, asets, ids)
 
 
 def cmd_synth(args) -> int:
@@ -210,8 +213,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_build_graph(args) -> int:
-    _, graphs = _load_graphs(args)
-    ids = [args.sentence] if args.sentence else sorted(graphs)
+    corpus, asets = pl.load_inputs(args.data, one_based=args.one_based)
+    if args.sentence and args.sentence not in corpus.sentences:
+        raise ValueError(f"sentence {args.sentence!r} is not in the corpus")
+    ids = [args.sentence] if args.sentence else corpus.sentence_ids()
+    graphs = pl.build_all_graphs(corpus, asets, ids)
     with open(args.out, "w", encoding="utf-8") as fh:
         for sid in ids:
             fh.write(f"# sentence {sid}\n")
@@ -222,15 +228,14 @@ def cmd_build_graph(args) -> int:
 
 def cmd_communities(args) -> int:
     cfg = _pipeline_config(args, str(Path(args.out).parent))
-    _, graphs = _load_graphs(args)
+    _, _, graphs = _load_graphs(args)
     pl.write_communities_tsv(graphs, args.algorithm, Path(args.out), cfg.feature_config())
     print(f"wrote {args.algorithm} communities for {len(graphs)} sentences to {args.out}")
     return 0
 
 
 def cmd_features(args) -> int:
-    corpus, graphs = _load_graphs(args)
-    ids = pl.select_ids(args.train_ids, graphs)
+    corpus, ids, graphs = _load_graphs(args, args.train_ids)
     standardizer, vocab, table = pl.features_stage(corpus, graphs, ids)
     out = Path(args.out)
     pl.write_feature_artifacts(out, standardizer, vocab, table)
@@ -245,22 +250,19 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _pipeline_config(args, args.out)
-    corpus, graphs = _load_graphs(args)
-    ids = pl.select_ids(cfg.train_ids, graphs)
+    corpus, ids, graphs = _load_graphs(args, cfg.train_ids)
     fitted = pl.features_stage(corpus, graphs, ids)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model_path = out / "model.mpwa"
-    pl.train_stage(cfg, corpus, graphs, ids, fitted, model_path, out / "train_log.json")
-    print(f"trained on {len(ids)} sentences; checkpoint at {model_path}")
+    n = pl.train_stage(cfg, corpus, graphs, ids, fitted, model_path, out / "train_log.json")
+    print(f"trained on {n} sentences; checkpoint at {model_path}")
     return 0
 
 
 def cmd_align(args) -> int:
     cfg = _pipeline_config(args, str(Path(args.out).parent))
-    corpus, asets = pl.load_inputs(args.data, one_based=args.one_based)
-    ids = pl.select_ids(cfg.test_ids, corpus.sentences)
-    graphs = pl.build_all_graphs(corpus, asets, ids)
+    corpus, ids, graphs = _load_graphs(args, cfg.test_ids)
     n = pl.align_with_model(Path(args.model), graphs, corpus, ids, cfg, Path(args.out))
     print(f"aligned {n} sentences -> {args.out}")
     return 0
@@ -271,6 +273,8 @@ def cmd_eval(args) -> int:
     if len(names) != len(args.pred):
         raise SystemExit("--names must match --pred")
     gold = load_gold(args.gold, args.pair, one_based=args.one_based)
+    if not gold.possible:
+        raise ValueError(f"{args.gold}: no gold sentence to score")
     corpus = None
     if args.bins:
         if not args.data:

@@ -14,7 +14,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 logger = logging.getLogger(__name__)
 
@@ -60,9 +60,6 @@ class GoldAlignment:
     lang_pair: tuple[str, str]
     sure: dict[str, set[tuple[int, int]]] = field(default_factory=dict)
     possible: dict[str, set[tuple[int, int]]] = field(default_factory=dict)
-
-    def sentence_ids(self) -> list[str]:
-        return sorted(self.possible)
 
 
 def _read_tabbed(path: Path, bare_id_ok: bool = False):
@@ -228,10 +225,3 @@ def load_pos_tagged(path: str | Path) -> dict[str, list[tuple[str, str]]]:
             raise CorpusFormatError(f"{path}:{line_no}: sentence {sid!r} has no tokens")
         out[sid] = pairs
     return out
-
-
-def write_pos_tagged(tagged: Mapping[str, Iterable[tuple[str, str]]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sid in sorted(tagged):
-            items = " ".join(f"{tok}/{tag}" for tok, tag in tagged[sid])
-            fh.write(f"{sid}\t{items}\n")

@@ -23,14 +23,10 @@ class EvalReport:
     recall: float
     f1: float
     aer: float
-    n_predicted: int
     n_sure: int
     sure_hits: int
     possible_hits: int
-    macro_precision: float
-    macro_recall: float
     macro_f1: float
-    macro_aer: float
     notes: tuple[str, ...] = ()
 
 
@@ -56,13 +52,16 @@ def score(predicted: Mapping[str, LinkSet], gold: GoldAlignment) -> EvalReport:
     """Score predictions against sure/possible gold links over the gold sentences.
 
     Every predicted sentence must be covered by the gold set; gold sentences
-    without predictions count as empty predictions.
+    without predictions count as empty predictions. A gold set without
+    sentences is refused: it has nothing to score.
     """
+    if not gold.possible:
+        raise ValueError("the gold alignment holds no sentence to score")
     unknown = set(predicted) - set(gold.possible)
     if unknown:
         raise ValueError(f"predictions for sentences without gold: {sorted(unknown)[:5]}")
     n_pred = n_sure = sure_hits = possible_hits = 0
-    macro = []
+    macro_f1 = []
     for sid in sorted(gold.possible):
         a = predicted.get(sid, set())
         s = gold.sure.get(sid, set())
@@ -72,22 +71,17 @@ def score(predicted: Mapping[str, LinkSet], gold: GoldAlignment) -> EvalReport:
         n_sure += counts[1]
         sure_hits += counts[2]
         possible_hits += counts[3]
-        macro.append(_ratios(*counts)[:4])
+        macro_f1.append(_ratios(*counts)[2])
     precision, recall, f1, aer, notes = _ratios(n_pred, n_sure, sure_hits, possible_hits)
-    macro_arr = np.asarray(macro) if macro else np.zeros((1, 4))
     return EvalReport(
         precision=precision,
         recall=recall,
         f1=f1,
         aer=aer,
-        n_predicted=n_pred,
         n_sure=n_sure,
         sure_hits=sure_hits,
         possible_hits=possible_hits,
-        macro_precision=float(macro_arr[:, 0].mean()),
-        macro_recall=float(macro_arr[:, 1].mean()),
-        macro_f1=float(macro_arr[:, 2].mean()),
-        macro_aer=float(macro_arr[:, 3].mean()),
+        macro_f1=float(np.mean(macro_f1)),
         notes=tuple(notes),
     )
 
@@ -117,37 +111,39 @@ def frequency_bins(
     if not freq:
         raise ValueError(f"no tokens for source language {source_lang!r}")
     counts = np.asarray(sorted(freq.values()), dtype=np.float64)
-    qs = np.quantile(counts, np.linspace(0, 1, n_bins + 1)[1:-1]) if n_bins > 1 else []
+    qs = np.quantile(counts, np.linspace(0, 1, n_bins + 1)[1:-1])
+    # a word's bin index is n_bins - 1 less one per quantile its count
+    # reaches, so index 0 (bin 1) holds the most frequent words
+    words = list(freq)
+    indices = n_bins - 1 - np.searchsorted(qs, [freq[w] for w in words], side="right")
+    bin_index = dict(zip(words, indices.tolist()))
 
-    def bin_of(count: int) -> int:
-        # bin 1 = highest frequency
-        for b in range(n_bins - 1):
-            if count >= qs[n_bins - 2 - b]:
-                return b + 1
-        return n_bins
-
-    def split(links: LinkSet, sid: str) -> list[LinkSet]:
+    def split(links: LinkSet, toks: Sequence[str] | None) -> list[LinkSet]:
         out: list[LinkSet] = [set() for _ in range(n_bins)]
-        toks = corpus.sentences[sid].get(source_lang)
         for i, j in links:
-            if toks is None or not 0 <= i < len(toks):
-                continue
-            out[bin_of(freq[toks[i]]) - 1].add((i, j))
+            if toks is not None and 0 <= i < len(toks):
+                out[bin_index[toks[i]]].add((i, j))
         return out
 
-    reports: list[EvalReport | None] = []
-    for b in range(n_bins):
-        pred_b: dict[str, LinkSet] = {}
-        gold_b = GoldAlignment(gold.lang_pair)
-        occupied = False
-        for sid in gold.possible:
-            pred_b[sid] = split(predicted.get(sid, set()), sid)[b]
-            gold_b.sure[sid] = split(gold.sure.get(sid, set()), sid)[b]
-            gold_b.possible[sid] = split(gold.possible[sid], sid)[b] | gold_b.sure[sid]
-            if pred_b[sid] or gold_b.possible[sid]:
-                occupied = True
-        reports.append(score(pred_b, gold_b) if occupied else None)
-    return reports
+    preds: list[dict[str, LinkSet]] = [{} for _ in range(n_bins)]
+    golds = [GoldAlignment(gold.lang_pair) for _ in range(n_bins)]
+    for sid in gold.possible:
+        toks = corpus.sentences[sid].get(source_lang)
+        parts = zip(
+            split(predicted.get(sid, set()), toks),
+            split(gold.sure.get(sid, set()), toks),
+            split(gold.possible[sid], toks),
+        )
+        for pred_b, gold_b, (a, s, p) in zip(preds, golds, parts):
+            pred_b[sid] = a
+            gold_b.sure[sid] = s
+            gold_b.possible[sid] = p | s
+    return [
+        score(pred_b, gold_b)
+        if any(pred_b.values()) or any(gold_b.possible.values())
+        else None
+        for pred_b, gold_b in zip(preds, golds)
+    ]
 
 
 def eval_table(

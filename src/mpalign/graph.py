@@ -108,15 +108,6 @@ class AlignmentGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def node_id(self, lang: str, position: int) -> int:
-        start, count = self.offsets[lang]
-        if not 0 <= position < count:
-            raise GraphBuildError(
-                f"sentence {self.sentence_id}: position {position} out of bounds "
-                f"for {lang} (length {count})"
-            )
-        return start + position
-
     def node(self, node_id: int) -> TokenNode:
         lang = self.languages[self.node_lang[node_id]]
         return TokenNode(lang, int(self.node_pos[node_id]), self.words[node_id])

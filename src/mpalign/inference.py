@@ -9,7 +9,6 @@ exceeds ``alpha / row_length``; grow-diag-final-and then symmetrizes the
 forward and backward sets.
 """
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,14 +22,6 @@ NEIGHBOR_OFFSETS = ((-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1)
 LinkSet = set[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class ScoreMatrix:
-    source_lang: str
-    target_lang: str
-    values: np.ndarray  # (m, l)
-    mode: str  # "logit" or "prob"
-
-
 def score_matrices(
     feats: Sequence[SentenceFeatures],
     params: dict[str, np.ndarray],
@@ -38,9 +29,9 @@ def score_matrices(
     lang_y: str,
     config: FeatureConfig,
     mode: str = "logit",
-) -> list[ScoreMatrix]:
-    """Score every (x_i, y_j) pair of each sentence; each result is symmetric
-    under role swap (see the module docstring).
+) -> list[np.ndarray]:
+    """Score every (x_i, y_j) pair of each sentence: one float64 ``(m, l)``
+    array per sentence, symmetric under role swap (see the module docstring).
 
     Each sentence is encoded once. The ``lang_x`` rows and the ``lang_y`` rows
     of all sentences are stacked and projected through each half of
@@ -83,7 +74,7 @@ def score_matrices(
         else:
             fwd, bwd = p_fwd.data, p_bwd.data
         values = 0.5 * (fwd.reshape(m, l) + bwd.reshape(m, l))
-        out.append(ScoreMatrix(lang_x, lang_y, values.astype(np.float64), mode))
+        out.append(values.astype(np.float64))
         x0, y0 = x0 + m, y0 + l
     return out
 
@@ -95,7 +86,7 @@ def score_matrix(
     lang_y: str,
     config: FeatureConfig,
     mode: str = "logit",
-) -> ScoreMatrix:
+) -> np.ndarray:
     """:func:`score_matrices` of one sentence."""
     return score_matrices([sf], params, lang_x, lang_y, config, mode)[0]
 
@@ -188,27 +179,10 @@ def gdfa(
 
 
 def threshold_gdfa(
-    s: ScoreMatrix, alpha: float, orig_gdfa: LinkSet | None = None
+    s: np.ndarray, alpha: float, orig_gdfa: LinkSet | None = None
 ) -> LinkSet:
-    """Thresholded GDFA of one score matrix; ``orig_gdfa`` (the bilingual
-    aligner's GDFA links) joins the union only."""
-    forward = threshold_directional(s.values, alpha, "forward")
-    backward = threshold_directional(s.values, alpha, "backward")
-    m, l = s.values.shape
-    return gdfa(forward, backward, m, l, extra_union=orig_gdfa)
-
-
-def tgdfa(
-    sf: SentenceFeatures,
-    params: dict[str, np.ndarray],
-    lang_x: str,
-    lang_y: str,
-    config: FeatureConfig,
-    alpha: float = 2.0,
-    mode: str = "logit",
-    orig_gdfa: LinkSet | None = None,
-) -> LinkSet:
-    """:func:`threshold_gdfa` of one sentence's :func:`score_matrix`."""
-    return threshold_gdfa(
-        score_matrix(sf, params, lang_x, lang_y, config, mode), alpha, orig_gdfa
-    )
+    """Thresholded GDFA of one ``(m, l)`` score matrix; ``orig_gdfa`` (the
+    bilingual aligner's GDFA links) joins the union only."""
+    forward = threshold_directional(s, alpha, "forward")
+    backward = threshold_directional(s, alpha, "backward")
+    return gdfa(forward, backward, *s.shape, extra_union=orig_gdfa)

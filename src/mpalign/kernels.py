@@ -78,15 +78,6 @@ def _blocks(n):
         yield np.arange(start, min(start + SOURCE_BLOCK, n))
 
 
-def bfs_distances(indptr, indices, n):
-    """All-pairs hop distances; -1 marks unreachable pairs."""
-    adj = _adjacency(indptr, indices, n)
-    dist = np.empty((n, n), np.int32)
-    for sources in _blocks(n):
-        dist[sources] = _bfs_block(adj, sources)[0].T
-    return dist
-
-
 def centrality_bundle(indptr, indices, n):
     """Degree, closeness, betweenness, load, and harmonic centrality in one pass.
 

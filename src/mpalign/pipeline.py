@@ -10,7 +10,7 @@ never taken for a cache hit.
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Collection, Mapping, Sequence
 
@@ -30,7 +30,6 @@ from .corpus import (
 from .features import (
     FeatureConfig,
     FeatureStandardizer,
-    SentenceFeatures,
     build_word_vocab,
     centralities,
     featurize,
@@ -75,16 +74,6 @@ class PipelineConfig:
     lpc_max_iters: int = FeatureConfig.lpc_max_iters
     standardize: str = FeatureConfig.standardize
     eval_bins: int = 0
-
-    @classmethod
-    def from_dict(cls, raw: Mapping) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown pipeline config keys: {sorted(unknown)}")
-        cfg = cls(**raw)
-        cfg.validate()
-        return cfg
 
     def validate(self) -> None:
         if self.method not in ("tgdfa", "tgdfa+orig"):
@@ -181,7 +170,7 @@ def read_id_file(path: str | Path) -> list[str]:
 
 
 def select_ids(path: str | Path | None, known: Collection[str]) -> list[str]:
-    """The ids listed in *path* that are *known* (sentences with a graph), in
+    """The ids listed in *path* that are *known* (sentences of the corpus), in
     file order; without a file, every known id in sorted order. A file that
     selects no known id is refused."""
     if not path:
@@ -253,20 +242,7 @@ def run_stage(
 
 
 # ---------------------------------------------------------------------------
-# featurization shared by train and align stages
-
-
-def featurize_ids(
-    graphs: Mapping[str, AlignmentGraph],
-    ids: Sequence[str],
-    standardizer: FeatureStandardizer | None,
-    lang_index: Mapping[str, int],
-    vocab: Mapping[tuple[str, str], int],
-    config: FeatureConfig,
-) -> list[SentenceFeatures]:
-    return [
-        featurize(graphs[sid], standardizer, lang_index, vocab, config) for sid in ids
-    ]
+# per-sentence graph analysis shared by the stages
 
 
 def compute_centralities(
@@ -482,13 +458,17 @@ def train_stage(
     fitted: tuple[FeatureStandardizer, dict, np.ndarray],
     model_path: Path,
     log_path: Path,
-) -> None:
+) -> int:
     """Train on *train_ids*, featurized with *fitted* (the output of
-    :func:`features_stage`), and write the checkpoint and the loss log."""
+    :func:`features_stage`), write the checkpoint and the loss log, and
+    return how many sentences training used."""
     tc = cfg.train_config()
     standardizer, vocab, word_table = fitted
     lang_index = {lang: i for i, lang in enumerate(corpus.languages)}
-    feats = featurize_ids(graphs, train_ids, standardizer, lang_index, vocab, tc.feature)
+    feats = [
+        featurize(graphs[sid], standardizer, lang_index, vocab, tc.feature)
+        for sid in train_ids
+    ]
     result = train_model(feats, tc, len(corpus.languages), len(vocab), word_table)
     save_checkpoint(
         model_path, result.params, standardizer, corpus.languages, vocab, tc
@@ -502,6 +482,7 @@ def train_stage(
         )
         + "\n"
     )
+    return len(result.sentences_used)
 
 
 def align_with_model(
@@ -537,7 +518,9 @@ def align_with_model(
         for sid in test_ids
         if la in corpus.sentences.get(sid, {}) and lb in corpus.sentences.get(sid, {})
     ]
-    feats = featurize_ids(graphs, ids, standardizer, lang_index, vocab, tc.feature)
+    feats = [
+        featurize(graphs[sid], standardizer, lang_index, vocab, tc.feature) for sid in ids
+    ]
     scores = score_matrices(feats, params, la, lb, tc.feature, cfg.threshold_on)
     for sid, s in zip(ids, scores):
         result.links[sid] = threshold_gdfa(
@@ -556,6 +539,11 @@ def evaluate_predictions(
 ) -> None:
     gold_all = load_gold(cfg.gold, cfg.pair, one_based=cfg.one_based)
     keep = set(test_ids) & set(gold_all.possible) & set(corpus.sentences)
+    if not keep:
+        raise ValueError(
+            f"{cfg.gold}: none of its {len(gold_all.possible)} gold sentences "
+            "is a test sentence"
+        )
     gold = GoldAlignment(cfg.pair)
     for sid in keep:
         gold.sure[sid] = gold_all.sure.get(sid, set())

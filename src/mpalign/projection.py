@@ -78,15 +78,6 @@ def project(
     )
 
 
-def direct_transfer(
-    sentence_id: str,
-    target_tokens: Sequence[str],
-    source: ProjectionSource,
-) -> ProjectedSentence:
-    """Single-source projection (ties fall to the first vote)."""
-    return project(sentence_id, target_tokens, [source])
-
-
 def filter_x(
     sentences: Iterable[ProjectedSentence], threshold: float = 0.5
 ) -> list[ProjectedSentence]:

@@ -10,6 +10,8 @@ from itertools import combinations
 
 import numpy as np
 
+from mpalign.corpus import GoldAlignment
+from mpalign.evaluation import score, word_frequencies
 from mpalign.graph import AlignmentGraph
 
 
@@ -575,3 +577,41 @@ def gradient_check_reference(sf, params, config, seed=0, sample_fraction=0.01, h
 
     return gnn.compare_grads(forward, params64, analytic, rng,
                              sample_fraction=sample_fraction, h=h, tolerance=tolerance)
+
+
+def frequency_bins_reference(predicted, gold, corpus, source_lang, n_bins=4):
+    """Per-bin reports as a loop over the quantiles: each link's bin is looked
+    up anew, and each sentence's sets are split once per bin."""
+    freq = word_frequencies(corpus, source_lang)
+    counts = np.asarray(sorted(freq.values()), dtype=np.float64)
+    qs = np.quantile(counts, np.linspace(0, 1, n_bins + 1)[1:-1]) if n_bins > 1 else []
+
+    def bin_of(count):
+        # bin 1 = highest frequency
+        for b in range(n_bins - 1):
+            if count >= qs[n_bins - 2 - b]:
+                return b + 1
+        return n_bins
+
+    def split(links, sid):
+        out = [set() for _ in range(n_bins)]
+        toks = corpus.sentences[sid].get(source_lang)
+        for i, j in links:
+            if toks is None or not 0 <= i < len(toks):
+                continue
+            out[bin_of(freq[toks[i]]) - 1].add((i, j))
+        return out
+
+    reports = []
+    for b in range(n_bins):
+        pred_b = {}
+        gold_b = GoldAlignment(gold.lang_pair)
+        occupied = False
+        for sid in gold.possible:
+            pred_b[sid] = split(predicted.get(sid, set()), sid)[b]
+            gold_b.sure[sid] = split(gold.sure.get(sid, set()), sid)[b]
+            gold_b.possible[sid] = split(gold.possible[sid], sid)[b] | gold_b.sure[sid]
+            if pred_b[sid] or gold_b.possible[sid]:
+                occupied = True
+        reports.append(score(pred_b, gold_b) if occupied else None)
+    return reports

@@ -35,6 +35,19 @@ def run_pipeline(synth_dir, out_dir, seed="3", extra=()):
     ])
 
 
+def count_built_graphs(monkeypatch) -> list[str]:
+    """Record the sentence id of every graph the pipeline module builds."""
+    built = []
+    real = pl.build_graph
+
+    def counting(sid, *args):
+        built.append(sid)
+        return real(sid, *args)
+
+    monkeypatch.setattr(pl, "build_graph", counting)
+    return built
+
+
 def test_help_lists_all_subcommands(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
@@ -55,11 +68,13 @@ def test_help_enumerates_pipeline_flags(capsys):
         assert flag in out
 
 
-def test_build_graph_dump(synth_dir, tmp_path):
+def test_build_graph_dump(synth_dir, tmp_path, monkeypatch):
+    built = count_built_graphs(monkeypatch)
     out = tmp_path / "graphs.txt"
     rc = main(["build-graph", "--data", str(synth_dir), "--out", str(out),
                "--sentence", "v00000"])
     assert rc == 0
+    assert built == ["v00000"]
     text = out.read_text()
     assert text.startswith("# sentence v00000")
     assert "edge\t" in text
@@ -447,14 +462,6 @@ def test_bad_standardize_fails_before_any_stage(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-def test_unknown_config_keys_rejected():
-    from mpalign.pipeline import PipelineConfig
-
-    with pytest.raises(ValueError, match="unknown pipeline config keys"):
-        PipelineConfig.from_dict({"data_dir": "x", "out_dir": "y",
-                                  "pair": ("a", "b"), "bogus": 1})
-
-
 def test_same_language_alignment_file_rejected(synth_dir, tmp_path, capsys):
     import shutil
 
@@ -550,14 +557,7 @@ def test_pipeline_refuses_pair_language_missing_from_corpus(synth_dir, tmp_path,
 def test_align_builds_only_the_graphs_it_aligns(
     synth_dir, trained_model, tmp_path, monkeypatch
 ):
-    built = []
-    real = pl.build_graph
-
-    def counting(sid, *args):
-        built.append(sid)
-        return real(sid, *args)
-
-    monkeypatch.setattr(pl, "build_graph", counting)
+    built = count_built_graphs(monkeypatch)
     out = tmp_path / "x.align"
     assert align(synth_dir, trained_model, "l00,l01", out) == 0
     test_ids = (synth_dir / "test_ids.txt").read_text().split()
@@ -616,3 +616,68 @@ def test_pipeline_refuses_an_empty_selection(synth_dir, tmp_path, unknown_ids, c
     assert rc == 1
     assert f"{unknown_ids}: none of its 2 sentence ids" in capsys.readouterr().err
     assert not (run / "eval.tsv").exists() and not (run / "model.mpwa").exists()
+
+@pytest.mark.parametrize("command", ["train", "features"])
+def test_commands_build_only_the_graphs_they_select(
+    synth_dir, tmp_path, monkeypatch, command
+):
+    built = count_built_graphs(monkeypatch)
+    extra = ["--hidden", "32", "--epochs", "1"] if command == "train" else []
+    rc = main([
+        command, "--data", str(synth_dir), "--out", str(tmp_path / "run"),
+        "--train-ids", str(synth_dir / "train_ids.txt"), *extra,
+    ])
+    assert rc == 0
+    assert built == (synth_dir / "train_ids.txt").read_text().split()
+
+
+def test_build_graph_refuses_an_unknown_sentence(synth_dir, tmp_path, capsys):
+    out = tmp_path / "graphs.txt"
+    rc = main(["build-graph", "--data", str(synth_dir), "--out", str(out),
+               "--sentence", "nope"])
+    assert rc == 1
+    assert "sentence 'nope' is not in the corpus" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_reports_the_sentences_it_trained_on(synth_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    rc = main([
+        "train", "--data", str(synth_dir), "--out", str(run),
+        "--train-ids", str(synth_dir / "train_ids.txt"), "--hidden", "32",
+        "--epochs", "1", "--train-sample", "2",
+    ])
+    assert rc == 0
+    assert "trained on 2 sentences" in capsys.readouterr().out
+    assert json.loads((run / "train_log.json").read_text())["n_sentences"] == 2
+
+
+def test_eval_refuses_an_empty_gold_file(synth_dir, tmp_path, capsys):
+    gold = tmp_path / "empty.gold"
+    gold.write_text("")
+    pred = tmp_path / "pred.align"
+    pred.write_text("")
+    rc = main(["eval", "--pred", str(pred), "--gold", str(gold), "--pair", "l00,l01"])
+    assert rc == 1
+    assert f"{gold}: no gold sentence to score" in capsys.readouterr().err
+
+
+def test_pipeline_refuses_gold_without_test_sentences(synth_dir, tmp_path, capsys):
+    test_ids = (synth_dir / "test_ids.txt").read_text().split()
+    gold = tmp_path / "train_only.gold"
+    gold.write_text("".join(
+        line for line in (synth_dir / "l00-l01.gold").read_text().splitlines(keepends=True)
+        if line.split("\t")[0] not in test_ids
+    ))
+    run = tmp_path / "run"
+    rc = main([
+        "pipeline", "--data", str(synth_dir), "--out", str(run), "--pair", "l00,l01",
+        "--gold", str(gold), "--train-ids", str(synth_dir / "train_ids.txt"),
+        "--test-ids", str(synth_dir / "test_ids.txt"), "--hidden", "32", "--seed", "3",
+        "--epochs", "1",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "stage 'eval' failed" in err and f"{gold}: none of its" in err
+    assert "is a test sentence" in err
+    assert not (run / "eval.tsv").exists()

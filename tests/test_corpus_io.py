@@ -14,7 +14,6 @@ from mpalign.corpus import (
     load_pos_tagged,
     write_gold,
     write_pharaoh,
-    write_pos_tagged,
 )
 from mpalign.features import FeatureConfig, FeatureStandardizer
 from mpalign.gnn import TrainConfig, init_params
@@ -250,13 +249,6 @@ class TestPosTagged:
     def test_token_with_slash(self, tmp_path):
         path = write(tmp_path, "eng.pos", "v1\ta/b/X\n")
         assert load_pos_tagged(path)["v1"] == [("a/b", "X")]
-
-    def test_round_trip(self, tmp_path):
-        data = {"v1": [("a", "NOUN"), ("b", "X")], "v2": [("c", "VERB")]}
-        path = tmp_path / "t.pos"
-        write_pos_tagged(data, path)
-        assert load_pos_tagged(path) == data
-
 
 class TestCheckpoint:
     def make(self, tmp_path, seed=0, **feature):

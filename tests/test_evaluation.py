@@ -13,7 +13,7 @@ from mpalign.evaluation import (
 )
 from mpalign.features import FeatureConfig, partition
 
-from oracles import community_links_reference, refinement_cases
+from oracles import community_links_reference, frequency_bins_reference, refinement_cases
 
 links = st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=10)
 
@@ -41,6 +41,10 @@ class TestScore:
         rep = score({"v1": set()}, gold_from({(0, 0)}))
         assert rep.precision == 1.0
         assert any("precision" in n for n in rep.notes)
+
+    def test_empty_gold_refused(self):
+        with pytest.raises(ValueError, match="no sentence to score"):
+            score({}, GoldAlignment(("a", "b")))
 
     def test_unknown_sentence_rejected(self):
         with pytest.raises(ValueError, match="without gold"):
@@ -110,6 +114,28 @@ class TestFrequencyBins:
         assert reports[0].recall == 1.0
         rare = [r for r in reports[1:] if r is not None]
         assert rare and rare[-1].recall == 0.0
+
+    @pytest.mark.parametrize("n_bins", range(1, 7))
+    def test_matches_reference(self, rng, n_bins):
+        # word counts from a Zipf draw, so quantiles tie on the common counts
+        words = [f"w{k}" for k in range(12)]
+        for _ in range(10):
+            sentences, gold, predicted = {}, GoldAlignment(("a", "b")), {}
+            for s in range(int(rng.integers(1, 8))):
+                sid = f"v{s}"
+                m = int(rng.integers(1, 7))
+                toks = [words[min(int(rng.zipf(1.6)) - 1, 11)] for _ in range(m)]
+                # a sentence without the source language splits into nothing
+                has_a = s == 0 or rng.random() < 0.9
+                sentences[sid] = {"a": toks, "b": ["x"] * 5} if has_a else {"b": ["x"] * 5}
+                cells = [(int(i), int(j)) for i, j in rng.integers(0, [m + 1, 5], (8, 2))]
+                gold.sure[sid] = set(cells[:2])
+                gold.possible[sid] = set(cells[:4])
+                if rng.random() < 0.8:
+                    predicted[sid] = set(cells[3:])
+            corpus = MultiParallelCorpus(["a", "b"], sentences)
+            ours = frequency_bins(predicted, gold, corpus, "a", n_bins=n_bins)
+            assert ours == frequency_bins_reference(predicted, gold, corpus, "a", n_bins)
 
     def test_quartile_boundaries(self):
         counts = np.array([1, 2, 3, 4])

@@ -3,15 +3,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mpalign import gnn, inference
+from mpalign import gnn
 from mpalign.features import FeatureConfig, FeatureStandardizer, centralities, featurize
 from mpalign.graph import AlignmentGraph
 from mpalign.inference import (
     gdfa,
     score_matrices,
     score_matrix,
-    tgdfa,
     threshold_directional,
+    threshold_gdfa,
 )
 
 from oracles import random_multilingual_graph
@@ -29,17 +29,18 @@ class TestScoreMatrix:
 
     def test_shape(self):
         s = score_matrix(self.sf, self.params, "eng", "fra", self.fc)
-        assert s.values.shape == (3, 4)
+        assert s.shape == (3, 4)
+        assert s.dtype == np.float64
 
     def test_transpose_symmetry_exact(self):
         s_xy = score_matrix(self.sf, self.params, "eng", "fra", self.fc)
         s_yx = score_matrix(self.sf, self.params, "fra", "eng", self.fc)
-        assert np.array_equal(s_xy.values, s_yx.values.T)
+        assert np.array_equal(s_xy, s_yx.T)
 
     def test_zero_model_prob_mode_gives_half(self):
         zero = {k: np.zeros_like(v) for k, v in self.params.items()}
         s = score_matrix(self.sf, zero, "eng", "fra", self.fc, mode="prob")
-        np.testing.assert_allclose(s.values, 0.5, atol=1e-12)
+        np.testing.assert_allclose(s, 0.5, atol=1e-12)
 
     def test_missing_language_rejected(self):
         with pytest.raises(ValueError, match="deu"):
@@ -84,12 +85,9 @@ class TestScoreMatrices:
         assert len(batch) == len(self.feats)
         for sf, s in zip(self.feats, batch):
             alone = score_matrix(sf, self.params, *pair, self.fc, mode)
-            assert (s.source_lang, s.target_lang, s.mode) == (*pair, mode)
-            assert s.values.shape == alone.values.shape
-            np.testing.assert_allclose(s.values, alone.values, rtol=1e-6)
-            assert inference.threshold_gdfa(s, 2.0) == tgdfa(
-                sf, self.params, *pair, self.fc, alpha=2.0, mode=mode
-            )
+            assert s.shape == alone.shape
+            np.testing.assert_allclose(s, alone, rtol=1e-6)
+            assert threshold_gdfa(s, 2.0) == threshold_gdfa(alone, 2.0)
 
     def test_transpose_symmetry(self):
         # float32 rounding of the last decoder product depends on a pair's
@@ -97,7 +95,7 @@ class TestScoreMatrices:
         xy = score_matrices(self.feats, self.params, "l00", "l01", self.fc)
         yx = score_matrices(self.feats, self.params, "l01", "l00", self.fc)
         for a, b in zip(xy, yx):
-            np.testing.assert_allclose(a.values, b.values.T, rtol=1e-6)
+            np.testing.assert_allclose(a, b.T, rtol=1e-6)
 
     def test_one_encode_per_sentence_and_four_projections(self, monkeypatch):
         calls = {"encode": 0, "project": []}
@@ -246,7 +244,7 @@ class TestTgdfa:
         sf, vocab, fc = make_bundle()
         cfg = gnn.TrainConfig(hidden=16, feature=fc)
         params = gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(0))
-        links = tgdfa(sf, params, "eng", "fra", fc, alpha=1.0)
+        links = threshold_gdfa(score_matrix(sf, params, "eng", "fra", fc), 1.0)
         for i, j in links:
             assert 0 <= i < 3 and 0 <= j < 3
 
@@ -254,7 +252,7 @@ class TestTgdfa:
         sf, vocab, fc = make_bundle()
         cfg = gnn.TrainConfig(hidden=16, feature=fc)
         params = gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(0))
-        links = tgdfa(sf, params, "eng", "fra", fc, alpha=1.0, mode="prob")
+        links = threshold_gdfa(score_matrix(sf, params, "eng", "fra", fc, "prob"), 1.0)
         for i, j in links:
             assert 0 <= i < 3 and 0 <= j < 3
 
@@ -266,7 +264,8 @@ class TestTgdfa:
         params = {k: np.zeros_like(v) for k, v in
                   gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(0)).items()}
         orig = {(0, 0), (0, 1), (1, 1), (2, 2)}
-        links = tgdfa(sf, params, "eng", "fra", fc, alpha=2.0, orig_gdfa=orig)
+        s = score_matrix(sf, params, "eng", "fra", fc)
+        links = threshold_gdfa(s, 2.0, orig_gdfa=orig)
         # zero model scores are uniform -> no forward/backward links survive
         assert links == {(0, 0), (1, 1), (2, 2)}
 
@@ -275,8 +274,8 @@ class TestTgdfa:
         cfg = gnn.TrainConfig(hidden=16, feature=fc)
         params = gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(5))
         s = score_matrix(sf, params, "eng", "fra", fc)
-        fwd = threshold_directional(s.values, 2.0, "forward")
-        bwd = threshold_directional(s.values, 2.0, "backward")
+        fwd = threshold_directional(s, 2.0, "forward")
+        bwd = threshold_directional(s, 2.0, "backward")
         orig = {(0, 0), (2, 1)}
-        out = tgdfa(sf, params, "eng", "fra", fc, alpha=2.0, orig_gdfa=orig)
+        out = threshold_gdfa(s, 2.0, orig_gdfa=orig)
         assert fwd & bwd <= out <= fwd | bwd | orig

@@ -10,7 +10,6 @@ from mpalign.features import centralities
 from oracles import (
     arbitrary_graph,
     bfs_components,
-    bfs_dist,
     centralities_bruteforce,
     from_labels_reference,
     lpc_reference,
@@ -59,17 +58,6 @@ def test_centralities_dense_random(rng, source_block):
     for _ in range(25):
         g = random_graph(rng, int(rng.integers(3, 10)), float(rng.uniform(0.3, 0.9)))
         np.testing.assert_allclose(centralities(g), centralities_bruteforce(g), atol=1e-12)
-
-
-def test_bfs_distances_match_oracle(rng, source_block):
-    for _ in range(20):
-        g = disconnected_graph(rng, int(rng.integers(1, 12)))
-        dist = kernels.bfs_distances(g.indptr, g.indices, g.n)
-        for s in range(g.n):
-            expected = np.full(g.n, -1)
-            for t, d in bfs_dist(g, s).items():
-                expected[t] = d
-            assert dist[s].tolist() == expected.tolist()
 
 
 def test_component_labels_in_discovery_order(rng):

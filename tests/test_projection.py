@@ -2,7 +2,6 @@ import pytest
 
 from mpalign.projection import (
     ProjectionSource,
-    direct_transfer,
     filter_x,
     project,
     write_conll,
@@ -63,26 +62,22 @@ class TestProject:
 
 
 class TestDirectTransfer:
+    """Projection from a single source language."""
+
     def test_one_to_one_copies(self):
         source = src("eng", ["DET", "NOUN"], {(0, 0), (1, 1)})
-        out = direct_transfer("v1", ["le", "chien"], source)
+        out = project("v1", ["le", "chien"], [source])
         assert out.tags == ("DET", "NOUN")
 
     def test_tie_takes_first_occurrence(self):
         source = src("eng", ["NOUN", "VERB"], {(0, 0), (0, 1)})
-        out = direct_transfer("v1", ["t"], source)
+        out = project("v1", ["t"], [source])
         assert out.tags == ("NOUN",)
 
     def test_unaligned_gets_x(self):
         source = src("eng", ["NOUN"], {(0, 0)})
-        out = direct_transfer("v1", ["a", "b"], source)
+        out = project("v1", ["a", "b"], [source])
         assert out.tags == ("NOUN", "X")
-
-    def test_equals_project_with_single_source(self):
-        source = src("eng", ["NOUN", "VERB", "ADJ"], {(0, 1), (1, 2), (2, 0)})
-        a = direct_transfer("v1", ["x", "y", "z"], source)
-        b = project("v1", ["x", "y", "z"], [source])
-        assert a == b
 
 
 class TestFilterX:
