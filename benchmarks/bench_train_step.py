@@ -82,7 +82,7 @@ def timed_step(sf, pairs, config, params, opt) -> tuple[dict[str, float], tuple]
     P = gnn.as_leaves(params)
     hidden = gnn.encode(sf, P, config.feature)
     t1 = time.perf_counter()
-    p, _ = gnn.decode_pairs(hidden, us, vs, P)
+    p = gnn.decode_pairs(hidden, us, vs, P)
     t2 = time.perf_counter()
     loss = gnn.batch_loss(narrow(p, 0, n_pos), narrow(p, n_pos, len(us)))
     t3 = time.perf_counter()

@@ -83,7 +83,6 @@ def _add_align_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--alpha", type=float)
     g.add_argument("--method", choices=("tgdfa", "tgdfa+orig"))
     g.add_argument("--orig", help="bilingual GDFA links for tgdfa+orig")
-    g.add_argument("--threshold-on", choices=("logit", "prob"))
     g.add_argument("--test-ids", help="file with one sentence id per line to align")
 
 
@@ -152,6 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--one-based", action="store_true")
     p.add_argument("--bins", type=int, default=0, help="frequency bins to report")
     p.add_argument("--data", help="corpus directory (needed for --bins)")
+    p.add_argument("--test-ids", help="file with one sentence id per line to score")
     p.add_argument("--out", help="write TSV here instead of stdout")
     p.set_defaults(func=cmd_eval)
 
@@ -275,6 +275,7 @@ def cmd_eval(args) -> int:
     gold = load_gold(args.gold, args.pair, one_based=args.one_based)
     if not gold.possible:
         raise ValueError(f"{args.gold}: no gold sentence to score")
+    gold = pl.gold_of(gold, pl.select_ids(args.test_ids, gold.possible))
     corpus = None
     if args.bins:
         if not args.data:
@@ -284,6 +285,10 @@ def cmd_eval(args) -> int:
     runs = []
     for name, path in zip(names, args.pred):
         aset = load_pharaoh(path, args.pair, one_based=args.one_based)
+        missing = sum(sid not in aset.links for sid in gold.possible)
+        if missing:
+            print(f"{path}: {missing} of {len(gold.possible)} gold sentences have no "
+                  "line; scored as empty predictions", file=sys.stderr)
         runs.append((name, {sid: aset.links.get(sid, set()) for sid in gold.possible}))
     text = eval_table(runs, gold, corpus, args.pair[0], args.bins)
     if args.out:

@@ -6,7 +6,8 @@ neighbourhoods as one sparse product (``autodiff.attend``). The decoder
 scores a node pair from the concatenated hidden states through a two-layer
 MLP ending in a sigmoid. Its first layer is evaluated as two per-node
 projections, one for each half of ``dec1.W``, gathered per pair and summed:
-the same function, without a (pairs x 2h) product.
+the same function, without a (pairs x 2h) product. Inference thresholds the
+logits (:func:`combine`); training reads the probabilities (:func:`decode_pairs`).
 Training iterates sentence graphs, splits each graph's edges into batches of
 positives and samples two in-sentence negatives per positive; a batch's
 positives and negatives are decoded in one pass.
@@ -219,18 +220,18 @@ def project(h: Tensor, P: dict[str, Tensor], half: str) -> Tensor:
 def combine(
     top: Tensor, bot: Tensor, u_of_pair: np.ndarray, v_of_pair: np.ndarray,
     P: dict[str, Tensor],
-) -> tuple[Tensor, Tensor]:
-    """(probabilities, logits) of the pairs (``top[u_of_pair[k]]``,
-    ``bot[v_of_pair[k]]``): the rest of the decoder after :func:`project`."""
+) -> Tensor:
+    """Logits of the pairs (``top[u_of_pair[k]]``, ``bot[v_of_pair[k]]``):
+    the rest of the decoder after :func:`project`, without the sigmoid."""
     z = ad.relu(ad.rows(top, u_of_pair) + ad.rows(bot, v_of_pair) + P["dec1.b"])
-    logits = z @ P["dec2.W"] + P["dec2.b"]
-    return ad.sigmoid(logits), logits
+    return z @ P["dec2.W"] + P["dec2.b"]
 
 
 def decode_pairs(
     hidden: Tensor, us: np.ndarray, vs: np.ndarray, P: dict[str, Tensor]
-) -> tuple[Tensor, Tensor]:
-    """(probabilities, logits) for each (u, v) pair; order of u and v matters.
+) -> Tensor:
+    """Link probability of each (u, v) pair, one row per pair: the sigmoid of
+    :func:`combine`'s logits. The order of u and v matters.
 
     ``concat(h_u, h_v) @ dec1.W`` is evaluated as ``h_u @ W_top + h_v @ W_bot``:
     each distinct endpoint is projected once, then gathered per pair.
@@ -239,7 +240,7 @@ def decode_pairs(
     v_nodes, v_of_pair = np.unique(vs, return_inverse=True)
     top = project(ad.rows(hidden, u_nodes), P, "top")
     bot = project(ad.rows(hidden, v_nodes), P, "bottom")
-    return combine(top, bot, u_of_pair, v_of_pair, P)
+    return ad.sigmoid(combine(top, bot, u_of_pair, v_of_pair, P))
 
 
 def batch_loss(p_pos: Tensor, p_neg: Tensor | None, eps: float = LOSS_EPS) -> Tensor:
@@ -448,9 +449,7 @@ def _decode_loss(
     """The loss of one batch from the encoder output *hidden*: positives and
     negatives are decoded in one pass and split by row."""
     n_pos, n_all = len(us), len(us) + len(neg_u)
-    p, _ = decode_pairs(
-        hidden, np.concatenate([us, neg_u]), np.concatenate([vs, neg_v]), P
-    )
+    p = decode_pairs(hidden, np.concatenate([us, neg_u]), np.concatenate([vs, neg_v]), P)
     p_neg = ad.narrow(p, n_pos, n_all) if n_all > n_pos else None
     return batch_loss(ad.narrow(p, 0, n_pos), p_neg)
 

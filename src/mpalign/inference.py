@@ -1,9 +1,10 @@
 """Alignment induction: symmetric pair scores, row-softmax thresholding, GDFA.
 
 The score matrix for a language pair inside one sentence averages the decoder
-output over both argument orders, so transposing the pair transposes the
-matrix: exactly for some shapes, otherwise up to float32 rounding, because the
-decoder's last product rounds a pair's score by its position among the pairs.
+logits (before the sigmoid) over both argument orders, so transposing the pair
+transposes the matrix: exactly for some shapes, otherwise up to float32
+rounding, because the decoder's last product rounds a pair's score by its
+position among the pairs.
 Directional candidate sets keep, per row, the best cell whose row-softmax mass
 exceeds ``alpha / row_length``; grow-diag-final-and then symmetrizes the
 forward and backward sets.
@@ -28,9 +29,8 @@ def score_matrices(
     lang_x: str,
     lang_y: str,
     config: FeatureConfig,
-    mode: str = "logit",
 ) -> list[np.ndarray]:
-    """Score every (x_i, y_j) pair of each sentence: one float64 ``(m, l)``
+    """The logit of every (x_i, y_j) pair of each sentence: one float64 ``(m, l)``
     array per sentence, symmetric under role swap (see the module docstring).
 
     Each sentence is encoded once. The ``lang_x`` rows and the ``lang_y`` rows
@@ -38,8 +38,6 @@ def score_matrices(
     ``dec1.W`` once per call, and each sentence then combines both argument
     orders from its rows of the four projections.
     """
-    if mode not in ("logit", "prob"):
-        raise ValueError(f"unknown score mode {mode!r}")
     for sf in feats:
         g = sf.graph
         if lang_x not in g.offsets or lang_y not in g.offsets:
@@ -67,12 +65,8 @@ def score_matrices(
         m, l = len(xr), len(yr)
         xs = np.repeat(np.arange(x0, x0 + m), l)
         ys = np.tile(np.arange(y0, y0 + l), m)
-        p_fwd, l_fwd = gnn.combine(x_top, y_bot, xs, ys, P)
-        p_bwd, l_bwd = gnn.combine(y_top, x_bot, ys, xs, P)
-        if mode == "logit":
-            fwd, bwd = l_fwd.data, l_bwd.data
-        else:
-            fwd, bwd = p_fwd.data, p_bwd.data
+        fwd = gnn.combine(x_top, y_bot, xs, ys, P).data
+        bwd = gnn.combine(y_top, x_bot, ys, xs, P).data
         values = 0.5 * (fwd.reshape(m, l) + bwd.reshape(m, l))
         out.append(values.astype(np.float64))
         x0, y0 = x0 + m, y0 + l
@@ -85,10 +79,9 @@ def score_matrix(
     lang_x: str,
     lang_y: str,
     config: FeatureConfig,
-    mode: str = "logit",
 ) -> np.ndarray:
     """:func:`score_matrices` of one sentence."""
-    return score_matrices([sf], params, lang_x, lang_y, config, mode)[0]
+    return score_matrices([sf], params, lang_x, lang_y, config)[0]
 
 
 def _row_softmax(s: np.ndarray) -> np.ndarray:

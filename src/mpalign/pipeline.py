@@ -47,7 +47,8 @@ logger = logging.getLogger(__name__)
 class PipelineConfig:
     """Every setting of a run. Model and featurization settings mirror
     :class:`TrainConfig` and :class:`FeatureConfig` and take their defaults
-    from them; ``seed`` seeds training and is the base of the LPC seeds."""
+    from them; ``seed`` seeds training and is the base of the LPC seeds.
+    ``alpha`` sets the row-softmax bar over the decoder logits."""
 
     data_dir: str
     out_dir: str
@@ -60,7 +61,6 @@ class PipelineConfig:
     # hyperparameters
     alpha: float = 2.0
     method: str = "tgdfa"  # "tgdfa" or "tgdfa+orig"
-    threshold_on: str = "logit"  # or "prob"
     lr: float = TrainConfig.lr
     batch_size: int = TrainConfig.batch_size
     epochs: int = TrainConfig.epochs
@@ -80,8 +80,6 @@ class PipelineConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "tgdfa+orig" and not self.orig:
             raise ValueError("method tgdfa+orig requires an --orig alignment file")
-        if self.threshold_on not in ("logit", "prob"):
-            raise ValueError(f"unknown threshold mode {self.threshold_on!r}")
         self.feature_config()  # raises on a bad standardize mode or ablation block
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
@@ -116,12 +114,8 @@ class PipelineConfig:
 
 
 def discover_corpus_files(data_dir: str | Path) -> dict[str, Path]:
-    files = sorted(Path(data_dir).glob("*.txt"))
-    corpus = {}
-    for path in files:
-        if path.stem in ("train_ids", "test_ids"):
-            continue
-        corpus[path.stem] = path
+    paths = sorted(Path(data_dir).glob("*.txt"))
+    corpus = {p.stem: p for p in paths if p.stem not in ("train_ids", "test_ids")}
     if not corpus:
         raise FileNotFoundError(f"no <lang>.txt corpus files under {data_dir}")
     return corpus
@@ -145,10 +139,17 @@ def discover_alignment_files(data_dir: str | Path) -> dict[tuple[str, str], Path
 def load_inputs(
     data_dir: str | Path, one_based: bool = False
 ) -> tuple[MultiParallelCorpus, list[BilingualAlignmentSet]]:
-    corpus = load_corpus(discover_corpus_files(data_dir))
+    """The corpus and alignments of *data_dir*; a ``<name>.txt`` file that
+    no alignment file names as a language is refused with its path."""
+    corpus_files = discover_corpus_files(data_dir)
+    align_files = discover_alignment_files(data_dir)
+    aligned = {lang for pair in align_files for lang in pair}
+    for lang, path in corpus_files.items():
+        if lang not in aligned:
+            raise ValueError(f"{path}: no <a>-<b>.align file names language {lang!r}")
+    corpus = load_corpus(corpus_files)
     asets = [
-        load_pharaoh(path, pair, one_based=one_based)
-        for pair, path in discover_alignment_files(data_dir).items()
+        load_pharaoh(path, pair, one_based=one_based) for pair, path in align_files.items()
     ]
     return corpus, asets
 
@@ -170,18 +171,26 @@ def read_id_file(path: str | Path) -> list[str]:
 
 
 def select_ids(path: str | Path | None, known: Collection[str]) -> list[str]:
-    """The ids listed in *path* that are *known* (sentences of the corpus), in
-    file order; without a file, every known id in sorted order. A file that
-    selects no known id is refused."""
+    """The ids listed in *path* that are *known* (sentences of the corpus, or
+    of a gold file), in file order; without a file, every known id in sorted
+    order. A file that selects no known id is refused."""
     if not path:
         return sorted(known)
     listed = read_id_file(path)
     ids = [sid for sid in listed if sid in known]
     if not ids:
         raise ValueError(
-            f"{path}: none of its {len(listed)} sentence ids names a sentence of the corpus"
+            f"{path}: none of its {len(listed)} sentence ids names one of "
+            f"the {len(known)} sentences to select from"
         )
     return ids
+
+
+def gold_of(gold: GoldAlignment, ids: Sequence[str]) -> GoldAlignment:
+    """The gold links of those *ids* sentences that *gold* holds."""
+    keep = [sid for sid in ids if sid in gold.possible]
+    sure = {sid: gold.sure.get(sid, set()) for sid in keep}
+    return GoldAlignment(gold.lang_pair, sure, {sid: gold.possible[sid] for sid in keep})
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +313,14 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
 
     train_ids = select_ids(cfg.train_ids, graphs)
     test_ids = select_ids(cfg.test_ids, graphs)
+    if cfg.gold:
+        gold_all = load_gold(cfg.gold, cfg.pair, one_based=cfg.one_based)
+        gold = gold_of(gold_all, test_ids)
+        if not gold.possible:
+            raise ValueError(
+                f"{cfg.gold}: none of its {len(gold_all.possible)} gold sentences "
+                "is a test sentence"
+            )
 
     # -- communities stage (artifacts are diagnostics; features recompute) --
     comm_key = stage_key({**base, "stage": "communities"})
@@ -371,7 +388,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
             "pair": list(cfg.pair),
             "alpha": cfg.alpha,
             "method": cfg.method,
-            "threshold_on": cfg.threshold_on,
             "orig": _hash_file(cfg.orig) if cfg.orig else None,
             "test_ids": test_ids,
         }
@@ -400,7 +416,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
             "eval",
             eval_key,
             [eval_path],
-            lambda: evaluate_predictions(cfg, corpus, test_ids, align_path, eval_path),
+            lambda: evaluate_predictions(cfg, corpus, gold, align_path, eval_path),
         )
         artifacts["eval"] = eval_path
 
@@ -521,7 +537,7 @@ def align_with_model(
     feats = [
         featurize(graphs[sid], standardizer, lang_index, vocab, tc.feature) for sid in ids
     ]
-    scores = score_matrices(feats, params, la, lb, tc.feature, cfg.threshold_on)
+    scores = score_matrices(feats, params, la, lb, tc.feature)
     for sid, s in zip(ids, scores):
         result.links[sid] = threshold_gdfa(
             s, cfg.alpha, orig.links.get(sid) if orig else None
@@ -533,30 +549,16 @@ def align_with_model(
 def evaluate_predictions(
     cfg: PipelineConfig,
     corpus: MultiParallelCorpus,
-    test_ids: Sequence[str],
+    gold: GoldAlignment,
     align_path: Path,
     eval_path: Path,
 ) -> None:
-    gold_all = load_gold(cfg.gold, cfg.pair, one_based=cfg.one_based)
-    keep = set(test_ids) & set(gold_all.possible) & set(corpus.sentences)
-    if not keep:
-        raise ValueError(
-            f"{cfg.gold}: none of its {len(gold_all.possible)} gold sentences "
-            "is a test sentence"
-        )
-    gold = GoldAlignment(cfg.pair)
-    for sid in keep:
-        gold.sure[sid] = gold_all.sure.get(sid, set())
-        gold.possible[sid] = gold_all.possible[sid]
-
-    runs = []
+    """Score the input alignments and *align_path* over the sentences of *gold*."""
+    sets = []
     input_path = discover_alignment_files(cfg.data_dir).get(tuple(cfg.pair))
     if input_path is not None:
-        baseline = load_pharaoh(input_path, cfg.pair, one_based=cfg.one_based)
-        runs.append(("input", {sid: baseline.links.get(sid, set()) for sid in keep}))
-    predicted = load_pharaoh(align_path, cfg.pair)
-    runs.append(
-        (f"gnn-{cfg.method}", {sid: predicted.links.get(sid, set()) for sid in keep})
-    )
+        sets.append(("input", load_pharaoh(input_path, cfg.pair, one_based=cfg.one_based)))
+    sets.append((f"gnn-{cfg.method}", load_pharaoh(align_path, cfg.pair)))
+    runs = [(n, {sid: a.links.get(sid, set()) for sid in gold.possible}) for n, a in sets]
     table = evaluation.eval_table(runs, gold, corpus, cfg.pair[0], cfg.eval_bins)
     eval_path.write_text(table, encoding="utf-8")

@@ -451,8 +451,8 @@ def decode_loss_two_calls(hidden, P, us, vs, neg_u, neg_v):
     """The batch loss with positives and negatives decoded in separate calls."""
     from mpalign import gnn
 
-    p_pos, _ = gnn.decode_pairs(hidden, us, vs, P)
-    p_neg = gnn.decode_pairs(hidden, neg_u, neg_v, P)[0] if len(neg_u) else None
+    p_pos = gnn.decode_pairs(hidden, us, vs, P)
+    p_neg = gnn.decode_pairs(hidden, neg_u, neg_v, P) if len(neg_u) else None
     return gnn.batch_loss(p_pos, p_neg)
 
 

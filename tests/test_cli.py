@@ -64,7 +64,7 @@ def test_help_enumerates_pipeline_flags(capsys):
     for flag in ("--alpha", "--method", "--orig", "--lr", "--batch-size",
                  "--epochs", "--train-sample", "--seed", "--hidden", "--ablate",
                  "--gamma", "--lpc-portion", "--lpc-max-iters",
-                 "--standardize", "--threshold-on", "--eval-bins", "--one-based"):
+                 "--standardize", "--eval-bins", "--one-based"):
         assert flag in out
 
 
@@ -286,7 +286,6 @@ PIPELINE_FLAGS = {
     "one_based": ("--one-based", None, True),
     "alpha": ("--alpha", "3.5", 3.5),
     "method": ("--method", "tgdfa+orig", "tgdfa+orig"),
-    "threshold_on": ("--threshold-on", "prob", "prob"),
     "lr": ("--lr", "0.02", 0.02),
     "batch_size": ("--batch-size", "17", 17),
     "epochs": ("--epochs", "3", 3),
@@ -511,6 +510,7 @@ def test_align_refuses_pair_language_missing_from_checkpoint(
     data = tmp_path / "data"
     shutil.copytree(synth_dir, data)
     shutil.copy(data / "l02.txt", data / "l03.txt")
+    shutil.copy(data / "l00-l02.align", data / "l00-l03.align")
     out = tmp_path / "x.align"
     assert align(data, trained_model, "l03,l00", out) == 1
     err = capsys.readouterr().err
@@ -678,6 +678,91 @@ def test_pipeline_refuses_gold_without_test_sentences(synth_dir, tmp_path, capsy
     ])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "stage 'eval' failed" in err and f"{gold}: none of its" in err
-    assert "is a test sentence" in err
-    assert not (run / "eval.tsv").exists()
+    assert f"{gold}: none of its" in err and "is a test sentence" in err
+    # refused before any stage ran
+    for name in ("communities_gmc.tsv", "communities_lpc.tsv", "model.mpwa", "eval.tsv"):
+        assert not (run / name).exists()
+
+
+def test_inputs_refuse_a_txt_file_no_alignment_names(synth_dir, tmp_path, capsys):
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    stray = data / "bad_ids.txt"
+    stray.write_text("v00000\nv00001\n")
+    with pytest.raises(ValueError, match=f"{stray}: no <a>-<b>.align file names"):
+        pl.load_inputs(data)
+    run = tmp_path / "run"
+    assert run_pipeline(data, run) == 1
+    err = capsys.readouterr().err
+    assert f"{stray}: no <a>-<b>.align file names language 'bad_ids'" in err
+    assert not (run / "model.mpwa").exists()
+
+
+def test_eval_test_ids_scores_what_the_pipeline_scores(synth_dir, tmp_path, capsys):
+    """`align --test-ids` then `eval --test-ids` gives the pipeline's eval.tsv;
+    without --test-ids, the gold sentences that have no line are counted."""
+    run = tmp_path / "run"
+    assert run_pipeline(synth_dir, run) == 0
+    aligned = tmp_path / "test.align"
+    assert align(synth_dir, run / "model.mpwa", "l00,l01", aligned) == 0
+    capsys.readouterr()
+    argv = [
+        "eval", "--pred", f"{synth_dir / 'l00-l01.align'},{aligned}",
+        "--names", "input,gnn-tgdfa", "--gold", str(synth_dir / "l00-l01.gold"),
+        "--pair", "l00,l01",
+    ]
+    assert main([*argv, "--test-ids", str(synth_dir / "test_ids.txt")]) == 0
+    out, err = capsys.readouterr()
+    assert out == (run / "eval.tsv").read_text()
+    assert err == ""
+
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    n_gold = len((synth_dir / "l00-l01.gold").read_text().splitlines())
+    n_test = len((synth_dir / "test_ids.txt").read_text().split())
+    assert f"{aligned}: {n_gold - n_test} of {n_gold} gold sentences have no line" in err
+    assert "l00-l01.align:" not in err
+    assert out != (run / "eval.tsv").read_text()
+
+
+def test_eval_refuses_test_ids_without_gold_sentences(synth_dir, unknown_ids, capsys):
+    rc = main([
+        "eval", "--pred", str(synth_dir / "l00-l01.align"),
+        "--gold", str(synth_dir / "l00-l01.gold"), "--pair", "l00,l01",
+        "--test-ids", str(unknown_ids),
+    ])
+    assert rc == 1
+    assert f"{unknown_ids}: none of its 2 sentence ids" in capsys.readouterr().err
+
+
+# flags README.md names for tools other than mpalign: pip's, and the
+# benchmark scripts' (each script must still define the flag)
+FOREIGN_FLAGS = {
+    "--no-build-isolation": [],
+    "--json": ["benchmarks/bench_kernels.py", "benchmarks/bench_train_step.py"],
+}
+
+
+def test_every_flag_the_readme_names_is_accepted():
+    import argparse
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        flag
+        for p in (parser, *sub.choices.values())
+        for action in p._actions
+        for flag in action.option_strings
+    }
+    for flag, scripts in FOREIGN_FLAGS.items():
+        assert flag not in accepted, flag
+        for script in scripts:
+            assert f'"{flag}"' in (root / script).read_text(), (flag, script)
+    assert named - accepted - set(FOREIGN_FLAGS) == set()

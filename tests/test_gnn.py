@@ -167,34 +167,40 @@ class TestDecode:
     def test_zero_hidden_gives_half(self):
         P = gnn.as_leaves(self.params)
         hidden = Tensor(np.zeros((4, 16), dtype=np.float32))
-        probs, logits = gnn.decode_pairs(hidden, np.array([0, 1]), np.array([2, 3]), P)
+        probs = gnn.decode_pairs(hidden, np.array([0, 1]), np.array([2, 3]), P)
         np.testing.assert_allclose(probs.data, 0.5, atol=1e-7)
 
     def test_probability_strictly_inside_unit_interval(self):
         P = gnn.as_leaves(self.params)
         hidden = Tensor(np.random.default_rng(0).normal(size=(4, 16)).astype(np.float32))
-        probs, _ = gnn.decode_pairs(hidden, np.array([0, 1]), np.array([2, 3]), P)
+        probs = gnn.decode_pairs(hidden, np.array([0, 1]), np.array([2, 3]), P)
         assert np.all(probs.data > 0) and np.all(probs.data < 1)
 
     def test_asymmetric_in_argument_order(self):
         P = gnn.as_leaves(self.params)
         hidden = Tensor(np.random.default_rng(0).normal(size=(4, 16)).astype(np.float32))
-        p_uv, _ = gnn.decode_pairs(hidden, np.array([0]), np.array([2]), P)
-        p_vu, _ = gnn.decode_pairs(hidden, np.array([2]), np.array([0]), P)
+        p_uv = gnn.decode_pairs(hidden, np.array([0]), np.array([2]), P)
+        p_vu = gnn.decode_pairs(hidden, np.array([2]), np.array([0]), P)
         assert p_uv.data[0, 0] != p_vu.data[0, 0]
 
 
 def concat_decode(hidden, us, vs, P):
-    """The decoder as specified: an MLP over ``concat(h_u, h_v)``."""
+    """The decoder's logits as specified: an MLP over ``concat(h_u, h_v)``."""
     z = ad.concat([ad.rows(hidden, us), ad.rows(hidden, vs)], axis=1)
     z = ad.relu(z @ P["dec1.W"] + P["dec1.b"])
-    logits = z @ P["dec2.W"] + P["dec2.b"]
-    return ad.sigmoid(logits), logits
+    return z @ P["dec2.W"] + P["dec2.b"]
+
+
+def combine_all_rows(hidden, us, vs, P):
+    """``combine``'s logits, every node projected through each half of ``dec1.W``."""
+    top, bot = gnn.project(hidden, P, "top"), gnn.project(hidden, P, "bottom")
+    return gnn.combine(top, bot, us, vs, P)
 
 
 class TestFactoredDecode:
-    """``decode_pairs`` projects each endpoint once; it must compute the
-    concatenation decoder's values and gradients."""
+    """``combine`` and ``decode_pairs`` project each endpoint once; they must
+    compute the concatenation decoder's logits and probabilities, and their
+    gradients."""
 
     N = 9
     CASES = {
@@ -204,6 +210,11 @@ class TestFactoredDecode:
             np.random.default_rng(3).integers(0, 9, size=40),
             np.random.default_rng(4).integers(0, 9, size=40),
         ),
+    }
+    # (factored decoder, the concatenation reference of the same output)
+    DECODERS = {
+        "logits": (combine_all_rows, concat_decode),
+        "probabilities": (gnn.decode_pairs, lambda *a: ad.sigmoid(concat_decode(*a))),
     }
 
     def params(self, dtype, hidden=16):
@@ -219,20 +230,22 @@ class TestFactoredDecode:
         us, vs = (np.asarray(a, dtype=np.int64) for a in self.CASES[case])
         params = self.params(dtype)
         h = np.random.default_rng(5).normal(size=(self.N, 16)).astype(dtype)
-        runs = []
-        for decode in (gnn.decode_pairs, concat_decode):
-            P = gnn.as_leaves(params)
-            hidden = Tensor(h.copy(), requires_grad=True)
-            probs, logits = decode(hidden, us, vs, P)
-            ad.mean(probs * np.linspace(-1, 1, len(us)).reshape(-1, 1)).backward()
-            runs.append((probs, logits, hidden, P))
-        (p, l, hid, P), (p_ref, l_ref, hid_ref, P_ref) = runs
-        assert p.dtype == dtype and l.shape == (len(us), 1)
-        np.testing.assert_allclose(l.data, l_ref.data, rtol=0, atol=tol)
-        np.testing.assert_allclose(p.data, p_ref.data, rtol=0, atol=tol)
-        np.testing.assert_allclose(hid.grad, hid_ref.grad, rtol=0, atol=tol)
-        for name in ("dec1.W", "dec1.b", "dec2.W", "dec2.b"):
-            np.testing.assert_allclose(P[name].grad, P_ref[name].grad, rtol=0, atol=tol)
+        for output, decoders in self.DECODERS.items():
+            runs = []
+            for decode in decoders:
+                P = gnn.as_leaves(params)
+                hidden = Tensor(h.copy(), requires_grad=True)
+                out = decode(hidden, us, vs, P)
+                ad.mean(out * np.linspace(-1, 1, len(us)).reshape(-1, 1)).backward()
+                runs.append((out, hidden, P))
+            (o, hid, P), (o_ref, hid_ref, P_ref) = runs
+            assert o.dtype == dtype and o.shape == (len(us), 1), output
+            checked = {"values": (o.data, o_ref.data), "hidden": (hid.grad, hid_ref.grad)}
+            for name in ("dec1.W", "dec1.b", "dec2.W", "dec2.b"):
+                checked[name] = (P[name].grad, P_ref[name].grad)
+            for what, (got, ref) in checked.items():
+                msg = f"{output} {what}"
+                np.testing.assert_allclose(got, ref, rtol=0, atol=tol, err_msg=msg)
 
 
 class TestLoss:

@@ -37,10 +37,10 @@ class TestScoreMatrix:
         s_yx = score_matrix(self.sf, self.params, "fra", "eng", self.fc)
         assert np.array_equal(s_xy, s_yx.T)
 
-    def test_zero_model_prob_mode_gives_half(self):
+    def test_zero_model_gives_zero_logits(self):
         zero = {k: np.zeros_like(v) for k, v in self.params.items()}
-        s = score_matrix(self.sf, zero, "eng", "fra", self.fc, mode="prob")
-        np.testing.assert_allclose(s, 0.5, atol=1e-12)
+        s = score_matrix(self.sf, zero, "eng", "fra", self.fc)
+        assert not s.any()
 
     def test_missing_language_rejected(self):
         with pytest.raises(ValueError, match="deu"):
@@ -78,13 +78,12 @@ class TestScoreMatrices:
         assert min(m for m, _ in lengths) < 4 <= max(m for m, _ in lengths)
         assert any(m != l for m, l in lengths)
 
-    @pytest.mark.parametrize("mode", ["logit", "prob"])
     @pytest.mark.parametrize("pair", [("l00", "l01"), ("l02", "l00")])
-    def test_each_sentence_as_scored_alone(self, mode, pair):
-        batch = score_matrices(self.feats, self.params, *pair, self.fc, mode)
+    def test_each_sentence_as_scored_alone(self, pair):
+        batch = score_matrices(self.feats, self.params, *pair, self.fc)
         assert len(batch) == len(self.feats)
         for sf, s in zip(self.feats, batch):
-            alone = score_matrix(sf, self.params, *pair, self.fc, mode)
+            alone = score_matrix(sf, self.params, *pair, self.fc)
             assert s.shape == alone.shape
             np.testing.assert_allclose(s, alone, rtol=1e-6)
             assert threshold_gdfa(s, 2.0) == threshold_gdfa(alone, 2.0)
@@ -126,10 +125,6 @@ class TestScoreMatrices:
         monkeypatch.setattr(gnn, "encode", None)
         with pytest.raises(ValueError, match="l07"):
             score_matrices(self.feats, self.params, "l00", "l07", self.fc)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="score mode"):
-            score_matrices(self.feats, self.params, "l00", "l01", self.fc, "rank")
 
 
 class TestThreshold:
@@ -245,14 +240,6 @@ class TestTgdfa:
         cfg = gnn.TrainConfig(hidden=16, feature=fc)
         params = gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(0))
         links = threshold_gdfa(score_matrix(sf, params, "eng", "fra", fc), 1.0)
-        for i, j in links:
-            assert 0 <= i < 3 and 0 <= j < 3
-
-    def test_tgdfa_probability_mode(self):
-        sf, vocab, fc = make_bundle()
-        cfg = gnn.TrainConfig(hidden=16, feature=fc)
-        params = gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(0))
-        links = threshold_gdfa(score_matrix(sf, params, "eng", "fra", fc, "prob"), 1.0)
         for i, j in links:
             assert 0 <= i < 3 and 0 <= j < 3
 
