@@ -18,7 +18,7 @@ from .features import FeatureConfig, FeatureStandardizer
 from .gnn import PARAM_NAMES, TrainConfig, param_shapes
 
 MAGIC = b"MPWA"
-VERSION = 3
+VERSION = 4
 
 _DTYPES = {0: "<f4", 1: "<f8", 2: "<i4", 3: "<i8"}
 _DTYPE_CODES = {np.dtype(v): k for k, v in _DTYPES.items()}

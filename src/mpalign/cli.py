@@ -71,9 +71,6 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
         type=_csv,
         help="feature blocks to drop: centrality,community,position,language,word",
     )
-    g.add_argument("--fixed-negatives", action="store_false", dest="resample_negatives",
-                   help="reuse the same negative samples in every epoch")
-    g.add_argument("--standardize", choices=("global", "per-graph"))
     g.add_argument("--train-ids", help="file with one training sentence id per line")
 
 
@@ -81,8 +78,7 @@ def _add_align_args(p: argparse.ArgumentParser) -> None:
     g = _settings(p, "alignment")
     g.add_argument("--pair", type=_pair, required=True, help="source,target languages")
     g.add_argument("--alpha", type=float)
-    g.add_argument("--method", choices=("tgdfa", "tgdfa+orig"))
-    g.add_argument("--orig", help="bilingual GDFA links for tgdfa+orig")
+    g.add_argument("--orig", help="bilingual links to add to the GDFA union (tgdfa+orig)")
     g.add_argument("--test-ids", help="file with one sentence id per line to align")
 
 
@@ -281,6 +277,12 @@ def cmd_eval(args) -> int:
         if not args.data:
             raise SystemExit("--bins requires --data for corpus frequencies")
         corpus, _ = pl.load_inputs(args.data, one_based=args.one_based)
+        missing = [sid for sid in gold.possible if sid not in corpus.sentences]
+        if missing:
+            raise ValueError(
+                f"{args.gold}: gold sentence {missing[0]!r} is not in the corpus "
+                f"under {args.data}"
+            )
 
     runs = []
     for name, path in zip(names, args.pred):

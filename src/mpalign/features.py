@@ -49,8 +49,7 @@ def centralities(g: AlignmentGraph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureStandardizer:
-    """Per-centrality mean/std over all nodes of the training graphs, or of
-    one graph in per-graph mode."""
+    """Per-centrality mean/std over all nodes of the training graphs."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -76,14 +75,11 @@ class FeatureConfig:
     lpc_seed: int = 0  # base of the per-sentence LPC seeds
     lpc_portion: float = 0.5
     lpc_max_iters: int = 100
-    standardize: str = "global"  # or "per-graph"
 
     def __post_init__(self):
         unknown = set(self.ablate) - set(BLOCK_WIDTHS)
         if unknown:
             raise ValueError(f"unknown ablation block(s): {sorted(unknown)}")
-        if self.standardize not in ("global", "per-graph"):
-            raise ValueError(f"unknown standardize mode {self.standardize!r}")
 
     def active(self, block: str) -> bool:
         return block not in self.ablate
@@ -229,18 +225,12 @@ def partition(g: AlignmentGraph, algorithm: str, config: FeatureConfig) -> Parti
 
 def featurize(
     g: AlignmentGraph,
-    standardizer: FeatureStandardizer | None,
+    standardizer: FeatureStandardizer,
     lang_index: Mapping[str, int],
     vocab: Mapping[tuple[str, str], int],
     config: FeatureConfig,
 ) -> SentenceFeatures:
     """Compute every constant model input for one sentence graph."""
-    raw = centralities(g)
-    if config.standardize == "per-graph":
-        standardizer = FeatureStandardizer.fit([raw])
-    elif standardizer is None:
-        raise ValueError("global scaling requires a fitted standardizer")
-
     p_gmc = partition(g, "gmc", config)
     p_lpc = partition(g, "lpc", config)
     unk = len(vocab)
@@ -255,7 +245,7 @@ def featurize(
     center, nbr, starts = attention_slots(g)
     return SentenceFeatures(
         graph=g,
-        z_cent=standardizer.apply(raw),
+        z_cent=standardizer.apply(centralities(g)),
         comm_gmc=community_indices(p_gmc, COMM_TABLE - 1),
         comm_lpc=community_indices(p_lpc, COMM_TABLE - 1),
         pos_idx=np.minimum(g.node_pos, POS_TABLE - 1),

@@ -80,7 +80,6 @@ class TrainConfig:
     epochs: int = 1
     train_sample: int = 6400
     seed: int = 0
-    resample_negatives: bool = True
     feature: FeatureConfig = field(default_factory=FeatureConfig)
 
 
@@ -483,10 +482,8 @@ def train_model(
         order = rng.permutation(len(usable))
         for si in order:
             sf = usable[si]
-            # without per-epoch resampling the batch split and negatives repeat
-            epoch_tag = epoch if config.resample_negatives else 0
             srng = np.random.default_rng(
-                derive_seed(config.seed, f"batch:{epoch_tag}:{sf.graph.sentence_id}")
+                derive_seed(config.seed, f"batch:{epoch}:{sf.graph.sentence_id}")
             )
             for us, vs in edge_batches(sf, config.batch_size, srng):
                 neg_u, neg_v = sample_negatives(sf, us, vs, srng)

@@ -48,7 +48,8 @@ class PipelineConfig:
     """Every setting of a run. Model and featurization settings mirror
     :class:`TrainConfig` and :class:`FeatureConfig` and take their defaults
     from them; ``seed`` seeds training and is the base of the LPC seeds.
-    ``alpha`` sets the row-softmax bar over the decoder logits."""
+    ``alpha`` sets the row-softmax bar over the decoder logits; ``orig``
+    names bilingual links that join the GDFA union (method tgdfa+orig)."""
 
     data_dir: str
     out_dir: str
@@ -60,7 +61,6 @@ class PipelineConfig:
     one_based: bool = False
     # hyperparameters
     alpha: float = 2.0
-    method: str = "tgdfa"  # "tgdfa" or "tgdfa+orig"
     lr: float = TrainConfig.lr
     batch_size: int = TrainConfig.batch_size
     epochs: int = TrainConfig.epochs
@@ -68,23 +68,21 @@ class PipelineConfig:
     seed: int = TrainConfig.seed
     hidden: int = TrainConfig.hidden
     ablate: tuple[str, ...] = FeatureConfig.ablate
-    resample_negatives: bool = TrainConfig.resample_negatives
     gamma: float = FeatureConfig.gamma
     lpc_portion: float = FeatureConfig.lpc_portion
     lpc_max_iters: int = FeatureConfig.lpc_max_iters
-    standardize: str = FeatureConfig.standardize
     eval_bins: int = 0
 
     def validate(self) -> None:
-        if self.method not in ("tgdfa", "tgdfa+orig"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "tgdfa+orig" and not self.orig:
-            raise ValueError("method tgdfa+orig requires an --orig alignment file")
-        self.feature_config()  # raises on a bad standardize mode or ablation block
+        self.feature_config()  # raises on an unknown ablation block
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.pair is not None and (len(self.pair) != 2 or self.pair[0] == self.pair[1]):
             raise ValueError("pair must name two distinct languages")
+
+    @property
+    def method(self) -> str:
+        return "tgdfa+orig" if self.orig else "tgdfa"
 
     def feature_config(self) -> FeatureConfig:
         return FeatureConfig(
@@ -93,7 +91,6 @@ class PipelineConfig:
             lpc_seed=self.seed,
             lpc_portion=self.lpc_portion,
             lpc_max_iters=self.lpc_max_iters,
-            standardize=self.standardize,
         )
 
     def train_config(self) -> TrainConfig:
@@ -104,7 +101,6 @@ class PipelineConfig:
             epochs=self.epochs,
             train_sample=self.train_sample,
             seed=self.seed,
-            resample_negatives=self.resample_negatives,
             feature=self.feature_config(),
         )
 
@@ -387,7 +383,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
             "train_key": train_key,
             "pair": list(cfg.pair),
             "alpha": cfg.alpha,
-            "method": cfg.method,
             "orig": _hash_file(cfg.orig) if cfg.orig else None,
             "test_ids": test_ids,
         }
@@ -512,7 +507,8 @@ def align_with_model(
     """Align ``cfg.pair`` in the *test_ids* sentences that hold both of its
     languages, write the links to *out_path* and return how many sentences
     that was. A pair language absent from the corpus or the checkpoint is
-    refused before any sentence is featurized."""
+    refused before any sentence is featurized, as is a link of ``cfg.orig``
+    outside its sentence pair."""
     params, standardizer, languages, vocab, tc = load_checkpoint(model_path)
     for lang in cfg.pair:
         if lang not in corpus.languages or lang not in languages:
@@ -522,11 +518,6 @@ def align_with_model(
                 f"({', '.join(languages)})"
             )
     lang_index = {lang: i for i, lang in enumerate(languages)}
-    orig = (
-        load_pharaoh(cfg.orig, cfg.pair, one_based=cfg.one_based)
-        if cfg.method == "tgdfa+orig"
-        else None
-    )
     la, lb = cfg.pair
     result = BilingualAlignmentSet(cfg.pair)
     ids = [
@@ -534,14 +525,23 @@ def align_with_model(
         for sid in test_ids
         if la in corpus.sentences.get(sid, {}) and lb in corpus.sentences.get(sid, {})
     ]
+    orig = {}
+    if cfg.orig:
+        orig = load_pharaoh(cfg.orig, cfg.pair, one_based=cfg.one_based).links
+        for sid in ids:
+            m, n = len(corpus.sentences[sid][la]), len(corpus.sentences[sid][lb])
+            for i, j in orig.get(sid, ()):
+                if not (i < m and j < n):
+                    raise ValueError(
+                        f"{cfg.orig}: sentence {sid}: link ({i},{j}) outside its "
+                        f"{m}x{n} sentence pair"
+                    )
     feats = [
         featurize(graphs[sid], standardizer, lang_index, vocab, tc.feature) for sid in ids
     ]
     scores = score_matrices(feats, params, la, lb, tc.feature)
     for sid, s in zip(ids, scores):
-        result.links[sid] = threshold_gdfa(
-            s, cfg.alpha, orig.links.get(sid) if orig else None
-        )
+        result.links[sid] = threshold_gdfa(s, cfg.alpha, orig.get(sid))
     write_pharaoh(result, out_path)
     return len(ids)
 

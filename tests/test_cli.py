@@ -61,10 +61,10 @@ def test_help_enumerates_pipeline_flags(capsys):
     with pytest.raises(SystemExit):
         main(["pipeline", "--help"])
     out = capsys.readouterr().out
-    for flag in ("--alpha", "--method", "--orig", "--lr", "--batch-size",
+    for flag in ("--alpha", "--orig", "--lr", "--batch-size",
                  "--epochs", "--train-sample", "--seed", "--hidden", "--ablate",
                  "--gamma", "--lpc-portion", "--lpc-max-iters",
-                 "--standardize", "--eval-bins", "--one-based"):
+                 "--eval-bins", "--one-based"):
         assert flag in out
 
 
@@ -196,16 +196,6 @@ def test_features_stage_ignores_run_settings(synth_dir, tmp_path, caplog, change
     assert "train: cache hit" not in caplog.messages
 
 
-def test_multi_epoch_fixed_negatives_runs(synth_dir, tmp_path):
-    out = tmp_path / "fixed"
-    rc = run_pipeline(
-        synth_dir, out, extra=("--epochs", "2", "--fixed-negatives")
-    )
-    assert rc == 0
-    losses = json.loads((out / "train_log.json").read_text())["batch_losses"]
-    assert len(losses) > 0
-
-
 def test_pipeline_different_seed_changes_model(synth_dir, tmp_path):
     out1 = tmp_path / "s1"
     out2 = tmp_path / "s2"
@@ -285,7 +275,6 @@ PIPELINE_FLAGS = {
     "test_ids": ("--test-ids", "test.txt", "test.txt"),
     "one_based": ("--one-based", None, True),
     "alpha": ("--alpha", "3.5", 3.5),
-    "method": ("--method", "tgdfa+orig", "tgdfa+orig"),
     "lr": ("--lr", "0.02", 0.02),
     "batch_size": ("--batch-size", "17", 17),
     "epochs": ("--epochs", "3", 3),
@@ -293,11 +282,9 @@ PIPELINE_FLAGS = {
     "seed": ("--seed", "7", 7),
     "hidden": ("--hidden", "24", 24),
     "ablate": ("--ablate", "word,language", ("word", "language")),
-    "resample_negatives": ("--fixed-negatives", None, False),
     "gamma": ("--gamma", "1.5", 1.5),
     "lpc_portion": ("--lpc-portion", "0.7", 0.7),
     "lpc_max_iters": ("--lpc-max-iters", "12", 12),
-    "standardize": ("--standardize", "per-graph", "per-graph"),
     "eval_bins": ("--eval-bins", "4", 4),
 }
 
@@ -378,8 +365,8 @@ def test_pipeline_without_pair_fails_before_any_stage(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("extra", [(), ("--standardize", "per-graph")],
-                         ids=["global", "per-graph"])
+@pytest.mark.parametrize("extra", [(), ("--gamma", "1.5", "--lpc-portion", "0.7")],
+                         ids=["global", "communities"])
 def test_align_featurizes_as_checkpoint_records(synth_dir, tmp_path, extra):
     # trained enough that featurizing with other settings changes its links
     run = tmp_path / "run"
@@ -451,12 +438,12 @@ def test_stage_error_exit_code(tmp_path):
     assert rc == 1
 
 
-def test_bad_standardize_fails_before_any_stage(tmp_path):
+def test_bad_ablation_fails_before_any_stage(tmp_path):
     from mpalign.pipeline import PipelineConfig, run_pipeline as run
 
     cfg = PipelineConfig(data_dir=str(tmp_path), out_dir=str(tmp_path / "o"),
-                         pair=("a", "b"), standardize="z")
-    with pytest.raises(ValueError, match="unknown standardize mode"):
+                         pair=("a", "b"), ablate=("syntax",))
+    with pytest.raises(ValueError, match=r"unknown ablation block\(s\): \['syntax'\]"):
         run(cfg)
     assert not (tmp_path / "o").exists()
 
@@ -536,6 +523,54 @@ def test_align_reports_the_sentences_it_aligned(synth_dir, trained_model, tmp_pa
     n = len(test_ids) - len(dropped)
     assert f"aligned {n} sentences" in capsys.readouterr().out
     assert len(out.read_text().splitlines()) == n
+
+
+def test_orig_links_join_the_union_end_to_end(synth_dir, tmp_path):
+    """`pipeline --orig F` names its links and eval row after tgdfa+orig and
+    `align --orig F` reproduces them; without --orig both say tgdfa."""
+    orig = synth_dir / "l00-l01.align"
+    run = tmp_path / "run"
+
+    def methods():
+        return [row.split("\t")[0] for row in (run / "eval.tsv").read_text().splitlines()]
+
+    assert run_pipeline(synth_dir, run, extra=("--orig", str(orig))) == 0
+    with_orig = run / "l00-l01.tgdfa-orig.align"
+    assert methods() == ["method", "input", "gnn-tgdfa+orig"]
+    assert not (run / "l00-l01.tgdfa.align").exists()
+    aligned = tmp_path / "cli.align"
+    rc = main([
+        "align", "--data", str(synth_dir), "--model", str(run / "model.mpwa"),
+        "--pair", "l00,l01", "--out", str(aligned), "--orig", str(orig),
+        "--test-ids", str(synth_dir / "test_ids.txt"),
+    ])
+    assert rc == 0
+    assert aligned.read_bytes() == with_orig.read_bytes()
+
+    assert run_pipeline(synth_dir, run) == 0
+    assert methods() == ["method", "input", "gnn-tgdfa"]
+    assert (run / "l00-l01.tgdfa.align").read_bytes() != with_orig.read_bytes()
+
+
+def test_align_refuses_an_orig_link_outside_its_sentence(
+    synth_dir, trained_model, tmp_path, capsys, monkeypatch
+):
+    sid = (synth_dir / "test_ids.txt").read_text().split()[0]
+    orig = tmp_path / "orig.align"
+    orig.write_text(f"{sid}\t40-40\n")
+    featurized = []
+    monkeypatch.setattr(pl, "featurize", lambda *args: featurized.append(args))
+    out = tmp_path / "x.align"
+    rc = main([
+        "align", "--data", str(synth_dir), "--model", str(trained_model),
+        "--pair", "l00,l01", "--out", str(out), "--orig", str(orig),
+        "--test-ids", str(synth_dir / "test_ids.txt"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{orig}: sentence {sid}: link (40,40) outside its" in err
+    assert featurized == []
+    assert not out.exists()
 
 
 def test_pipeline_refuses_pair_language_missing_from_corpus(synth_dir, tmp_path, capsys):
@@ -735,6 +770,19 @@ def test_eval_refuses_test_ids_without_gold_sentences(synth_dir, unknown_ids, ca
     ])
     assert rc == 1
     assert f"{unknown_ids}: none of its 2 sentence ids" in capsys.readouterr().err
+
+
+def test_eval_bins_refuses_a_gold_sentence_the_corpus_lacks(synth_dir, tmp_path, capsys):
+    gold = tmp_path / "extra.gold"
+    gold.write_text((synth_dir / "l00-l01.gold").read_text() + "zzz999\t0-0\n")
+    rc = main([
+        "eval", "--pred", str(synth_dir / "l00-l01.align"), "--gold", str(gold),
+        "--pair", "l00,l01", "--bins", "4", "--data", str(synth_dir),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {gold}: gold sentence 'zzz999' is not in the corpus under {synth_dir}\n"
+    )
 
 
 # flags README.md names for tools other than mpalign: pip's, and the

@@ -291,7 +291,7 @@ class TestCheckpoint:
     def test_old_version_refused(self, tmp_path):
         path, *_ = self.make(tmp_path)
         data = bytearray(path.read_bytes())
-        for old in (1, 2):
+        for old in (1, 2, 3):
             data[4:8] = struct.pack("<I", old)
             path.write_bytes(bytes(data))
             with pytest.raises(CheckpointError, match=f"unsupported version {old}"):
@@ -299,7 +299,7 @@ class TestCheckpoint:
 
     def test_featurization_round_trip(self, tmp_path):
         path, *_, cfg = self.make(tmp_path, gamma=1.5, lpc_seed=13, lpc_portion=0.7,
-                                  lpc_max_iters=50, standardize="per-graph")
+                                  lpc_max_iters=50)
         cfg2 = load_checkpoint(path)[4]
         assert cfg2.feature == cfg.feature
 

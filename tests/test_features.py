@@ -92,14 +92,6 @@ class TestStandardizer:
         np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-6)
         np.testing.assert_allclose(z.std(axis=0), 1.0, atol=1e-6)
 
-    def test_per_graph_mode(self):
-        # a path with a chord: every centrality varies across the nodes
-        g = arbitrary_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
-        lang_index = {lang: i for i, lang in enumerate(g.languages)}
-        sf = featurize(g, None, lang_index, {}, FeatureConfig(standardize="per-graph"))
-        np.testing.assert_allclose(sf.z_cent.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(sf.z_cent.std(axis=0), 1.0, atol=1e-12)
-
 
 def node_bundle(z_cent, gmc=0, lpc=0, pos=0, lang=0, word=0) -> SentenceFeatures:
     """Nodes with the given centralities and table rows. The assembly reads no
