@@ -11,7 +11,6 @@ Indices are 0-based internally; pass ``one_based=True`` for 1-based inputs.
 """
 
 import logging
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -31,7 +30,6 @@ class CorpusFormatError(ValueError):
 class MultiParallelCorpus:
     languages: list[str]
     sentences: dict[str, dict[str, list[str]]]
-    dropped_ids: int = 0
 
     def sentence_ids(self) -> list[str]:
         return sorted(self.sentences)
@@ -113,7 +111,7 @@ def load_corpus(paths: Mapping[str, str | Path]) -> MultiParallelCorpus:
         for sid, toks in table.items():
             if sid in keep:
                 sentences.setdefault(sid, {})[lang] = toks
-    return MultiParallelCorpus(sorted(per_lang), sentences, dropped_ids=dropped)
+    return MultiParallelCorpus(sorted(per_lang), sentences)
 
 
 def _parse_index_pair(item: str, sep: str, path, line_no: int, one_based: bool):
@@ -136,37 +134,14 @@ def load_pharaoh(
     path = Path(path)
     links: dict[str, set[tuple[int, int]]] = {}
     for line_no, sid, payload in _read_tabbed(path, bare_id_ok=True):
-        parsed = _parse_links(payload, path, line_no, one_based)
+        parsed = {
+            _parse_index_pair(item, "-", path, line_no, one_based) for item in payload.split()
+        }
         if sid in links:
             links[sid] |= parsed
         else:
             links[sid] = parsed
     return BilingualAlignmentSet(lang_pair, links)
-
-
-# single-spaced ``digits-digits`` items, the form write_pharaoh writes
-_LINK_LINE = re.compile(r"[0-9]+-[0-9]+(?: [0-9]+-[0-9]+)*")
-# token positions up to 4095; a lookup here is faster than int()
-_INDEX = {str(i): i for i in range(4096)}
-
-
-def _parse_links(payload: str, path, line_no: int, one_based: bool):
-    """The ``i-j`` links of one line. A line that :data:`_LINK_LINE` matches
-    takes one split and one :data:`_INDEX` lookup per index. Any other line,
-    and one with an index the table lacks or a 1-based 0, goes item by item
-    through :func:`_parse_index_pair`, which raises the ``file:line`` error of
-    the first bad item."""
-    if _LINK_LINE.fullmatch(payload):
-        try:
-            nums = map(_INDEX.__getitem__, payload.replace("-", " ").split())
-            if one_based:
-                nums = [n - 1 for n in nums]
-            if not one_based or min(nums) >= 0:
-                it = iter(nums)
-                return set(zip(it, it))
-        except KeyError:  # an index past the table, or one with leading zeros
-            pass
-    return {_parse_index_pair(item, "-", path, line_no, one_based) for item in payload.split()}
 
 
 def write_pharaoh(aset: BilingualAlignmentSet, path: str | Path) -> None:

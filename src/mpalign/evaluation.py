@@ -27,25 +27,17 @@ class EvalReport:
     sure_hits: int
     possible_hits: int
     macro_f1: float
-    notes: tuple[str, ...] = ()
 
 
 def _ratios(n_pred, n_sure, sure_hits, possible_hits):
-    notes = []
-    if n_pred == 0:
-        precision = 1.0
-        notes.append("no predicted links: precision defined as 1")
-    else:
-        precision = possible_hits / n_pred
-    if n_sure == 0:
-        recall = 1.0
-        notes.append("no sure links: recall defined as 1")
-    else:
-        recall = sure_hits / n_sure
+    """Precision, recall, F1 and AER; with no predicted links precision is
+    defined as 1, with no sure links recall is."""
+    precision = possible_hits / n_pred if n_pred else 1.0
+    recall = sure_hits / n_sure if n_sure else 1.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     denom = n_pred + n_sure
     aer = 1.0 - (sure_hits + possible_hits) / denom if denom else 0.0
-    return precision, recall, f1, aer, notes
+    return precision, recall, f1, aer
 
 
 def score(predicted: Mapping[str, LinkSet], gold: GoldAlignment) -> EvalReport:
@@ -72,7 +64,7 @@ def score(predicted: Mapping[str, LinkSet], gold: GoldAlignment) -> EvalReport:
         sure_hits += counts[2]
         possible_hits += counts[3]
         macro_f1.append(_ratios(*counts)[2])
-    precision, recall, f1, aer, notes = _ratios(n_pred, n_sure, sure_hits, possible_hits)
+    precision, recall, f1, aer = _ratios(n_pred, n_sure, sure_hits, possible_hits)
     return EvalReport(
         precision=precision,
         recall=recall,
@@ -82,7 +74,6 @@ def score(predicted: Mapping[str, LinkSet], gold: GoldAlignment) -> EvalReport:
         sure_hits=sure_hits,
         possible_hits=possible_hits,
         macro_f1=float(np.mean(macro_f1)),
-        notes=tuple(notes),
     )
 
 
@@ -99,7 +90,7 @@ def frequency_bins(
     gold: GoldAlignment,
     corpus: MultiParallelCorpus,
     source_lang: str,
-    n_bins: int = 4,
+    n_bins: int,
 ) -> list[EvalReport | None]:
     """Per-bin scores; bin 1 holds the most frequent source word types.
 
@@ -163,7 +154,7 @@ def eval_table(
         rep = score(preds, gold)
         cells = [name] + [f"{getattr(rep, col):.6f}" for col in header[1:]]
         if n_bins:
-            bins = frequency_bins(preds, gold, corpus, source_lang, n_bins=n_bins)
+            bins = frequency_bins(preds, gold, corpus, source_lang, n_bins)
             cells += [f"{b.f1:.6f}" if b is not None else "-" for b in bins]
         lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"

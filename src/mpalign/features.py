@@ -80,6 +80,8 @@ class FeatureConfig:
         unknown = set(self.ablate) - set(BLOCK_WIDTHS)
         if unknown:
             raise ValueError(f"unknown ablation block(s): {sorted(unknown)}")
+        if not 0 < self.lpc_portion <= 1:
+            raise ValueError(f"lpc_portion must be in (0, 1], not {self.lpc_portion}")
 
     def active(self, block: str) -> bool:
         return block not in self.ablate
@@ -98,13 +100,16 @@ def community_indices(p: Partition, cap: int) -> np.ndarray:
 # word vectors from verse co-occurrence
 
 
+# a (type x sentence) PPMI matrix of at most this many cells takes a dense SVD
+SVD_DENSE_CUTOFF = 4_000_000
+
+
 def build_word_vocab(
-    corpus: MultiParallelCorpus, sentence_ids: Sequence[str] | None = None
+    corpus: MultiParallelCorpus, sentence_ids: Sequence[str]
 ) -> dict[tuple[str, str], int]:
-    """(language, word-type) -> row index, over the retained sentences only."""
-    ids = sorted(corpus.sentences) if sentence_ids is None else sorted(sentence_ids)
+    """(language, word-type) -> row index, over the *sentence_ids* sentences."""
     seen = set()
-    for sid in ids:
+    for sid in sorted(sentence_ids):
         for lang, toks in corpus.sentences[sid].items():
             for tok in toks:
                 seen.add((lang, tok))
@@ -114,17 +119,17 @@ def build_word_vocab(
 def train_word_embeddings(
     corpus: MultiParallelCorpus,
     vocab: Mapping[tuple[str, str], int],
-    dim: int = WORD_DIM,
-    sentence_ids: Sequence[str] | None = None,
-    dense_cutoff: int = 4_000_000,
+    sentence_ids: Sequence[str],
 ) -> np.ndarray:
-    """Sentence-occurrence word vectors: PPMI-weighted binary (type x sentence)
-    matrix, rank-``dim`` truncated SVD, rows scaled by sqrt singular values.
+    """Sentence-occurrence word vectors over the *sentence_ids* sentences:
+    PPMI-weighted binary (type x sentence) matrix, rank-``WORD_DIM`` truncated
+    SVD (dense up to ``SVD_DENSE_CUTOFF`` cells, else sparse), rows scaled by
+    sqrt singular values.
 
-    Returns a float32 table of shape (len(vocab)+1, dim); the last row is the
-    all-zero UNK initialization. Rank deficits are padded with zero columns.
+    Returns a float32 table of shape (len(vocab)+1, WORD_DIM); the last row is
+    the all-zero UNK initialization. Rank deficits are padded with zero columns.
     """
-    ids = sorted(corpus.sentences) if sentence_ids is None else sorted(sentence_ids)
+    ids = sorted(sentence_ids)
     col_of = {sid: j for j, sid in enumerate(ids)}
     rows, cols = [], []
     for sid in ids:
@@ -136,7 +141,7 @@ def train_word_embeddings(
                     rows.append(vocab[key])
                     cols.append(j)
     n_rows, n_cols = len(vocab), len(ids)
-    table = np.zeros((n_rows + 1, dim), dtype=np.float32)
+    table = np.zeros((n_rows + 1, WORD_DIM), dtype=np.float32)
     if not rows or n_cols == 0:
         return table
 
@@ -153,10 +158,10 @@ def train_word_embeddings(
     vals = np.maximum(vals, 0.0)
     ppmi = sp.csr_matrix((vals, (ppmi.row, ppmi.col)), shape=occ.shape)
 
-    k = min(dim, n_rows - 1, n_cols - 1)
+    k = min(WORD_DIM, n_rows - 1, n_cols - 1)
     if k < 1:
         return table
-    if n_rows * n_cols <= dense_cutoff:
+    if n_rows * n_cols <= SVD_DENSE_CUTOFF:
         u, s, _ = np.linalg.svd(ppmi.toarray(), full_matrices=False)
         u, s = u[:, :k], s[:k]
     else:

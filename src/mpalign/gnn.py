@@ -82,6 +82,13 @@ class TrainConfig:
     seed: int = 0
     feature: FeatureConfig = field(default_factory=FeatureConfig)
 
+    def __post_init__(self):
+        for name in ("hidden", "batch_size", "epochs", "train_sample"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, not {getattr(self, name)}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be positive and finite, not {self.lr}")
+
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
@@ -242,17 +249,18 @@ def decode_pairs(
     return ad.sigmoid(combine(top, bot, u_of_pair, v_of_pair, P))
 
 
-def batch_loss(p_pos: Tensor, p_neg: Tensor | None, eps: float = LOSS_EPS) -> Tensor:
-    """Binary cross-entropy: -mean log p+ - mean log(1 - p-), probabilities clamped."""
-    loss = ad.mean(-log_clamped(p_pos, eps))
+def batch_loss(p_pos: Tensor, p_neg: Tensor | None) -> Tensor:
+    """Binary cross-entropy: -mean log p+ - mean log(1 - p-), probabilities
+    clamped to ``[LOSS_EPS, 1 - LOSS_EPS]``."""
+    loss = ad.mean(-log_clamped(p_pos))
     if p_neg is not None and p_neg.data.size:
         one = ad.constant(np.asarray(1.0, dtype=p_neg.dtype))
-        loss = loss + ad.mean(-log_clamped(one - p_neg, eps))
+        loss = loss + ad.mean(-log_clamped(one - p_neg))
     return loss
 
 
-def log_clamped(p: Tensor, eps: float) -> Tensor:
-    return ad.log(ad.clip(p, eps, 1.0 - eps))
+def log_clamped(p: Tensor) -> Tensor:
+    return ad.log(ad.clip(p, LOSS_EPS, 1.0 - LOSS_EPS))
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +317,14 @@ def edge_batches(
 # L2, numpy 2.4.6): 9.8 ms at 16 K elements, 8.4 ms at 32 K and 64 K, 8.6 ms
 # at 128 K, 10.7 ms unchunked and 12.2 ms with fresh whole-array temporaries.
 _ADAMW_CHUNK = 1 << 15
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01
 
 
 class AdamW:
-    """Decoupled weight decay applied to the parameters before the adaptive step.
+    """Decoupled weight decay (``WEIGHT_DECAY``) applied to the parameters
+    before the adaptive step (``ADAM_BETAS``, ``ADAM_EPS``).
 
     Parameters are updated in place, in chunks of ``_ADAMW_CHUNK`` elements,
     through two preallocated scratch arrays: per element the arithmetic is the
@@ -322,17 +334,11 @@ class AdamW:
     def __init__(
         self,
         params: dict[str, np.ndarray],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
+        lr: float,
         frozen: set[str] | None = None,
     ):
         self.params = params
         self.lr = float(lr)
-        self.b1, self.b2 = (float(b) for b in betas)
-        self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
         self.frozen = frozen or set()
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
@@ -374,11 +380,12 @@ class AdamW:
             if not self._all_finite(g):
                 raise NonFiniteGradientError(f"non-finite gradient for {name}")
         self.t += 1
-        lr, eps = self.lr, self.eps
-        decay = lr * self.weight_decay
-        c1, c2 = 1.0 - self.b1, 1.0 - self.b2
-        bc1 = 1.0 - self.b1**self.t
-        bc2 = 1.0 - self.b2**self.t
+        lr = self.lr
+        decay = lr * WEIGHT_DECAY
+        b1, b2 = ADAM_BETAS
+        c1, c2 = 1.0 - b1, 1.0 - b2
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
         for name, p, g in live:
             p_flat = p.reshape(-1)
             m_flat = self.m[name].reshape(-1)
@@ -389,10 +396,9 @@ class AdamW:
                 pc, mc, vc, gc = p_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi], g_flat[lo:hi]
                 a = self._a[: len(pc)]
                 b = self._b[: len(pc)]
-                if self.weight_decay:
-                    # p -= (lr * wd) * p
-                    np.multiply(pc, decay, out=a)
-                    np.subtract(pc, a, out=pc)
+                # p -= (lr * wd) * p
+                np.multiply(pc, decay, out=a)
+                np.subtract(pc, a, out=pc)
                 # m += (1 - b1) * (g - m)
                 np.subtract(gc, mc, out=a)
                 np.multiply(a, c1, out=a)
@@ -407,7 +413,7 @@ class AdamW:
                 np.multiply(a, lr, out=a)
                 np.divide(vc, bc2, out=b)
                 np.sqrt(b, out=b)
-                np.add(b, eps, out=b)
+                np.add(b, ADAM_EPS, out=b)
                 np.divide(a, b, out=a)
                 np.subtract(pc, a, out=pc)
 

@@ -90,18 +90,10 @@ def _row_softmax(s: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def threshold_directional(s: np.ndarray, alpha: float, direction: str = "forward") -> LinkSet:
-    """Per-row best cell among those whose row-softmax exceeds alpha/row_length.
-
-    ``forward`` thresholds the rows of ``s``; ``backward`` works on the
-    transpose and reports links in the original (row, column) orientation.
-    """
+def threshold_directional(s: np.ndarray, alpha: float) -> LinkSet:
+    """Per-row best cell among those whose row-softmax exceeds alpha/row_length."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if direction == "backward":
-        return {(i, j) for j, i in threshold_directional(s.T, alpha, "forward")}
-    if direction != "forward":
-        raise ValueError(f"unknown direction {direction!r}")
     s = np.asarray(s, dtype=np.float64)
     if s.size == 0:
         return set()
@@ -175,7 +167,8 @@ def threshold_gdfa(
     s: np.ndarray, alpha: float, orig_gdfa: LinkSet | None = None
 ) -> LinkSet:
     """Thresholded GDFA of one ``(m, l)`` score matrix; ``orig_gdfa`` (the
-    bilingual aligner's GDFA links) joins the union only."""
-    forward = threshold_directional(s, alpha, "forward")
-    backward = threshold_directional(s, alpha, "backward")
+    bilingual aligner's GDFA links) joins the union only. The backward set
+    thresholds the columns of ``s``."""
+    forward = threshold_directional(s, alpha)
+    backward = {(i, j) for j, i in threshold_directional(s.T, alpha)}
     return gdfa(forward, backward, *s.shape, extra_union=orig_gdfa)

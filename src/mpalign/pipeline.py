@@ -74,7 +74,8 @@ class PipelineConfig:
     eval_bins: int = 0
 
     def validate(self) -> None:
-        self.feature_config()  # raises on an unknown ablation block
+        # raises on an unknown ablation block or a setting that cannot train
+        self.train_config()
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.pair is not None and (len(self.pair) != 2 or self.pair[0] == self.pair[1]):
@@ -163,13 +164,25 @@ def build_all_graphs(
 
 
 def read_id_file(path: str | Path) -> list[str]:
-    return [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
+    """The ids of *path*, one per non-blank line; an id listed twice is
+    refused with its line."""
+    first_line: dict[str, int] = {}
+    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        sid = line.strip()
+        if sid in first_line:
+            raise ValueError(
+                f"{path}:{line_no}: sentence id {sid!r} is listed again "
+                f"(first on line {first_line[sid]})"
+            )
+        if sid:
+            first_line[sid] = line_no
+    return list(first_line)
 
 
 def select_ids(path: str | Path | None, known: Collection[str]) -> list[str]:
     """The ids listed in *path* that are *known* (sentences of the corpus, or
     of a gold file), in file order; without a file, every known id in sorted
-    order. A file that selects no known id is refused."""
+    order. A file that lists an id twice, or selects no known id, is refused."""
     if not path:
         return sorted(known)
     listed = read_id_file(path)
@@ -426,7 +439,7 @@ def features_stage(
     raw_cent = compute_centralities(graphs, train_ids)
     standardizer = FeatureStandardizer.fit([raw_cent[sid] for sid in train_ids])
     vocab = build_word_vocab(corpus, train_ids)
-    word_table = train_word_embeddings(corpus, vocab, sentence_ids=train_ids)
+    word_table = train_word_embeddings(corpus, vocab, train_ids)
     return standardizer, vocab, word_table
 
 

@@ -814,3 +814,54 @@ def test_every_flag_the_readme_names_is_accepted():
         for script in scripts:
             assert f'"{flag}"' in (root / script).read_text(), (flag, script)
     assert named - accepted - set(FOREIGN_FLAGS) == set()
+
+
+UNTRAINABLE = [
+    ("--epochs", "0", "epochs must be at least 1, not 0"),
+    ("--batch-size", "0", "batch_size must be at least 1, not 0"),
+    ("--hidden", "0", "hidden must be at least 1, not 0"),
+    ("--train-sample", "0", "train_sample must be at least 1, not 0"),
+    ("--lr", "-1", "lr must be positive and finite, not -1.0"),
+    ("--lr", "nan", "lr must be positive and finite, not nan"),
+    ("--lpc-portion", "1.5", "lpc_portion must be in (0, 1], not 1.5"),
+    ("--lpc-portion", "0", "lpc_portion must be in (0, 1], not 0.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "flag,value,message", UNTRAINABLE, ids=[f"{f[2:]}={v}" for f, v, _ in UNTRAINABLE]
+)
+@pytest.mark.parametrize("command", ["train", "pipeline"])
+def test_settings_that_cannot_train_are_refused_before_any_stage(
+    synth_dir, tmp_path, capsys, command, flag, value, message
+):
+    run = tmp_path / "run"
+    pair = ["--pair", "l00,l01"] if command == "pipeline" else []
+    rc = main([
+        command, "--data", str(synth_dir), "--out", str(run), *pair,
+        "--train-ids", str(synth_dir / "train_ids.txt"), "--hidden", "32", flag, value,
+    ])
+    assert rc == 1
+    assert f"error: {message}\n" == capsys.readouterr().err
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "pipeline"])
+def test_an_id_file_that_lists_a_sentence_twice_is_refused(
+    synth_dir, tmp_path, capsys, command
+):
+    ids = (synth_dir / "train_ids.txt").read_text().split()
+    listed = tmp_path / "ids.txt"
+    listed.write_text("\n".join([*ids[:3], "", ids[1], *ids[3:]]) + "\n")
+    run = tmp_path / "run"
+    pair = ["--pair", "l00,l01"] if command == "pipeline" else []
+    rc = main([
+        command, "--data", str(synth_dir), "--out", str(run), *pair,
+        "--train-ids", str(listed), "--hidden", "32",
+    ])
+    assert rc == 1
+    assert (
+        f"{listed}:5: sentence id {ids[1]!r} is listed again (first on line 2)"
+        in capsys.readouterr().err
+    )
+    assert not (run / "model.mpwa").exists()

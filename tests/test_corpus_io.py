@@ -37,14 +37,15 @@ class TestLoadCorpus:
         assert set(corpus.sentences["v1"]) == {"eng", "fra", "deu"}
         assert set(corpus.sentences["v2"]) == {"eng", "fra"}
 
-    def test_singleton_ids_dropped(self, tmp_path):
+    def test_singleton_ids_dropped(self, tmp_path, caplog):
         paths = {
             "eng": write(tmp_path, "eng.txt", "v1\ta\nv9\tb\n"),
             "fra": write(tmp_path, "fra.txt", "v1\tx\n"),
         }
-        corpus = load_corpus(paths)
+        with caplog.at_level("INFO", logger="mpalign.corpus"):
+            corpus = load_corpus(paths)
         assert set(corpus.sentences) == {"v1"}
-        assert corpus.dropped_ids == 1
+        assert "dropped 1 sentence ids present in fewer than 2 languages" in caplog.messages
 
     def test_empty_sentence_rejected(self, tmp_path):
         paths = {
@@ -128,8 +129,8 @@ class TestPharaoh:
         st.booleans(),
     )
     def test_line_parse_matches_item_by_item(self, items, sep, one_based):
-        """The one-pass line parse gives the links, or the error, that parsing
-        each item on its own gives."""
+        """A line gives the links, or the error, that parsing each of its items
+        on its own gives, whatever whitespace separates them."""
         import tempfile
         from pathlib import Path
 

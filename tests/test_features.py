@@ -6,6 +6,7 @@ from mpalign.corpus import MultiParallelCorpus
 from mpalign.features import (
     BLOCK_WIDTHS,
     POS_TABLE,
+    WORD_DIM,
     FeatureConfig,
     FeatureStandardizer,
     SentenceFeatures,
@@ -167,15 +168,17 @@ def corpus_from(sentences):
 
 class TestWordEmbeddings:
     def test_same_sentence_set_same_vector(self):
-        # "same"/"pareil" share a sentence set; fillers make the matrix non-uniform
+        # "same"/"pareil" share a sentence set; a filler per sentence keeps the
+        # matrix at full column rank, so every singular value kept is nonzero
         sentences = {}
         for i in range(8):
             eng = ["same"] if i < 4 else [f"e{i}"]
             fra = ["pareil"] if i < 4 else [f"f{i}"]
-            sentences[f"v{i}"] = {"eng": eng + [f"pad{i % 2}"], "fra": fra}
+            sentences[f"v{i}"] = {"eng": eng + [f"pad{i}"], "fra": fra}
         corpus = corpus_from(sentences)
-        vocab = build_word_vocab(corpus)
-        table = train_word_embeddings(corpus, vocab, dim=4)
+        ids = corpus.sentence_ids()
+        vocab = build_word_vocab(corpus, ids)
+        table = train_word_embeddings(corpus, vocab, ids)
         a = table[vocab[("eng", "same")]]
         b = table[vocab[("fra", "pareil")]]
         np.testing.assert_allclose(a, b, atol=1e-8)
@@ -186,15 +189,15 @@ class TestWordEmbeddings:
     def test_absent_word_not_in_vocab(self):
         sentences = {"v1": {"eng": ["a"], "fra": ["x"]}}
         corpus = corpus_from(sentences)
-        vocab = build_word_vocab(corpus, sentence_ids=["v1"])
+        vocab = build_word_vocab(corpus, ["v1"])
         assert ("eng", "zzz") not in vocab
 
     def test_rank_padding_when_vocab_small(self):
         sentences = {"v1": {"eng": ["a"], "fra": ["x"]}, "v2": {"eng": ["a"], "fra": ["y"]}}
         corpus = corpus_from(sentences)
-        vocab = build_word_vocab(corpus)
-        table = train_word_embeddings(corpus, vocab, dim=100)
-        assert table.shape == (len(vocab) + 1, 100)
+        vocab = build_word_vocab(corpus, ["v1", "v2"])
+        table = train_word_embeddings(corpus, vocab, ["v1", "v2"])
+        assert table.shape == (len(vocab) + 1, WORD_DIM)
         assert not table[:, 50:].any()  # rank-deficient tail is zero-padded
         assert not table[-1].any()  # UNK row
 
@@ -203,8 +206,9 @@ class TestWordEmbeddings:
 
         res = generate(SynthConfig(n_sentences=80, n_languages=3, vocab=30,
                                    len_min=4, len_max=7, seed=9))
-        vocab = build_word_vocab(res.corpus)
-        table = train_word_embeddings(res.corpus, vocab, dim=40)
+        ids = res.corpus.sentence_ids()
+        vocab = build_word_vocab(res.corpus, ids)
+        table = train_word_embeddings(res.corpus, vocab, ids)
 
         def cos(a, b):
             na, nb = np.linalg.norm(a), np.linalg.norm(b)
@@ -231,10 +235,24 @@ class TestWordEmbeddings:
             f"v{i}": {"eng": [f"w{i % 4}", "k"], "fra": [f"u{i % 3}"]} for i in range(10)
         }
         corpus = corpus_from(sentences)
-        vocab = build_word_vocab(corpus)
-        t1 = train_word_embeddings(corpus, vocab, dim=8)
-        t2 = train_word_embeddings(corpus, vocab, dim=8)
+        ids = corpus.sentence_ids()
+        vocab = build_word_vocab(corpus, ids)
+        t1 = train_word_embeddings(corpus, vocab, ids)
+        t2 = train_word_embeddings(corpus, vocab, ids)
         assert np.array_equal(t1, t2)
+
+    def test_sparse_svd_matches_dense(self, monkeypatch):
+        from mpalign import features
+        from mpalign.synth import SynthConfig, generate
+
+        res = generate(SynthConfig(n_sentences=120, n_languages=4, vocab=60, seed=3))
+        ids = res.corpus.sentence_ids()
+        vocab = build_word_vocab(res.corpus, ids)
+        dense = train_word_embeddings(res.corpus, vocab, ids)
+        monkeypatch.setattr(features, "SVD_DENSE_CUTOFF", 0)
+        sparse = train_word_embeddings(res.corpus, vocab, ids)
+        assert sparse.shape == dense.shape and dense.any()
+        np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-6)
 
 
 class TestFeaturize:

@@ -313,24 +313,25 @@ class TestDecodeLoss:
 
 
 class TestAdamW:
-    def test_zero_grad_zero_decay_keeps_params(self):
-        p = {"w": np.array([1.0, -2.0], dtype=np.float32)}
-        opt = gnn.AdamW(p, weight_decay=0.0)
+    def test_zero_grad_applies_only_decay(self):
+        w = np.array([1.0, -2.0], dtype=np.float32)
+        p = {"w": w.copy()}
+        opt = gnn.AdamW(p, lr=1e-3)
         opt.step({"w": np.zeros(2, dtype=np.float32)})
-        np.testing.assert_array_equal(p["w"], [1.0, -2.0])
+        assert p["w"].tobytes() == (w - w * np.float32(1e-3 * gnn.WEIGHT_DECAY)).tobytes()
 
     def test_first_step_closed_form(self):
         lr, wd = 0.001, 0.01
         theta0 = 0.5
         p = {"w": np.array([theta0], dtype=np.float64)}
-        opt = gnn.AdamW(p, lr=lr, weight_decay=wd, eps=1e-8)
+        opt = gnn.AdamW(p, lr=lr)
         opt.step({"w": np.array([1.0])})
         expected = theta0 - lr * wd * theta0 - lr * (1.0 / (1.0 + 1e-8))
         assert p["w"][0] == pytest.approx(expected, abs=1e-12)
 
     def test_decay_only_shrinks(self):
         p = {"w": np.array([1.0, -3.0])}
-        opt = gnn.AdamW(p, weight_decay=0.1)
+        opt = gnn.AdamW(p, lr=1e-3)
         for _ in range(3):
             opt.step({"w": np.zeros(2)})
         assert np.all(np.abs(p["w"]) < [1.0, 3.0])
@@ -344,18 +345,18 @@ class TestAdamW:
 
     def test_nonfinite_gradient_rejected(self):
         p = {"w": np.array([1.0])}
-        opt = gnn.AdamW(p)
+        opt = gnn.AdamW(p, lr=1e-3)
         with pytest.raises(gnn.NonFiniteGradientError, match="w"):
             opt.step({"w": np.array([np.nan])})
 
     def test_frozen_params_untouched(self):
         p = {"w": np.array([1.0]), "f": np.array([1.0])}
-        opt = gnn.AdamW(p, frozen={"f"})
+        opt = gnn.AdamW(p, lr=1e-3, frozen={"f"})
         opt.step({"w": np.array([1.0]), "f": np.array([1.0])})
         assert p["f"][0] == 1.0 and p["w"][0] != 1.0
 
 
-    @pytest.mark.parametrize("weight_decay", [0.01, 0.0])
+    @pytest.mark.parametrize("weight_decay", [gnn.WEIGHT_DECAY])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_reference_bitwise(self, dtype, weight_decay):
         # hidden 512: gat1.W spans three chunks plus a tail, dec1.W sixteen whole chunks
@@ -366,7 +367,7 @@ class TestAdamW:
         m = {k: np.zeros_like(p) for k, p in params.items()}
         v = {k: np.zeros_like(p) for k, p in params.items()}
         frozen = {"feat.pos"}
-        opt = gnn.AdamW(params, lr=0.01, weight_decay=weight_decay, frozen=frozen)
+        opt = gnn.AdamW(params, lr=0.01, frozen=frozen)
         t = 0
         for step in range(20):
             # gradients of mixed scales; feat.lang has none on every third step
@@ -389,7 +390,7 @@ class TestAdamW:
         rng = np.random.default_rng(0)
         shapes = {"a": (300, 200), "b": (5,), "c": (40_000,)}
         params = {k: rng.normal(size=s) for k, s in shapes.items()}
-        opt = gnn.AdamW(params)
+        opt = gnn.AdamW(params, lr=1e-3)
         for _ in range(2):
             opt.step({k: rng.normal(size=s) for k, s in shapes.items()})
         before = [
@@ -406,16 +407,16 @@ class TestAdamW:
 
     def test_rejects_what_it_cannot_update_in_place(self):
         p = {"a": np.ones((2, 3)), "b": np.ones(4)}
-        opt = gnn.AdamW(p)
+        opt = gnn.AdamW(p, lr=1e-3)
         with pytest.raises(ValueError, match="shape"):
             opt.step({"a": np.ones((1, 3)), "b": np.ones(4)})
         assert opt.t == 0 and np.all(p["a"] == 1.0) and np.all(p["b"] == 1.0)
         with pytest.raises(ValueError, match="dtype"):
-            gnn.AdamW({"a": np.zeros(2), "b": np.zeros(2, dtype=np.float32)})
+            gnn.AdamW({"a": np.zeros(2), "b": np.zeros(2, dtype=np.float32)}, lr=1e-3)
         with pytest.raises(ValueError, match="contiguous"):
-            gnn.AdamW({"a": np.zeros((4, 4))[:, ::2]})
+            gnn.AdamW({"a": np.zeros((4, 4))[:, ::2]}, lr=1e-3)
         # frozen parameters are never updated, so they are not checked
-        gnn.AdamW({"a": np.zeros(2), "b": np.zeros((4, 4))[:, ::2]}, frozen={"b"})
+        gnn.AdamW({"a": np.zeros(2), "b": np.zeros((4, 4))[:, ::2]}, lr=1e-3, frozen={"b"})
 
 
 class TestNegativeSampling:
@@ -476,12 +477,10 @@ class TestTraining:
         assert cfg.lr == pytest.approx(1e-3)
         assert cfg.hidden == 512
         assert cfg.epochs == 1
-        # the optimizer's remaining settings are AdamW's own defaults
-        opt = gnn.AdamW({})
-        assert opt.lr == cfg.lr
-        assert (opt.b1, opt.b2) == (0.9, 0.999)
-        assert opt.eps == pytest.approx(1e-8)
-        assert opt.weight_decay == pytest.approx(0.01)
+        # the optimizer's remaining settings are fixed
+        assert gnn.ADAM_BETAS == (0.9, 0.999)
+        assert gnn.ADAM_EPS == pytest.approx(1e-8)
+        assert gnn.WEIGHT_DECAY == pytest.approx(0.01)
 
     def test_loss_decreases_on_planted_corpus(self):
         from mpalign.pipeline import build_all_graphs, compute_centralities
@@ -495,8 +494,8 @@ class TestTraining:
         ids = sorted(graphs)
         raw = compute_centralities(graphs, ids)
         std = FeatureStandardizer.fit([raw[s] for s in ids])
-        vocab = build_word_vocab(res.corpus)
-        table = train_word_embeddings(res.corpus, vocab)
+        vocab = build_word_vocab(res.corpus, ids)
+        table = train_word_embeddings(res.corpus, vocab, ids)
         lang_index = {lang: i for i, lang in enumerate(res.corpus.languages)}
         fc = FeatureConfig()
         feats = [

@@ -149,17 +149,10 @@ class TestThreshold:
 
     def test_at_most_one_link_per_row(self, rng):
         for _ in range(20):
-            s = rng.normal(size=(5, 5))
-            fwd = threshold_directional(s, 1.5, "forward")
-            bwd = threshold_directional(s, 1.5, "backward")
-            assert len({i for i, _ in fwd}) == len(fwd)
-            assert len({j for _, j in bwd}) == len(bwd)
-
-    def test_backward_is_transposed_forward(self, rng):
-        s = rng.normal(size=(4, 6))
-        bwd = threshold_directional(s, 1.2, "backward")
-        fwd_t = threshold_directional(s.T, 1.2, "forward")
-        assert bwd == {(i, j) for j, i in fwd_t}
+            s = rng.normal(size=(5, 7))
+            for m in (s, s.T):
+                links = threshold_directional(m, 1.5)
+                assert len({i for i, _ in links}) == len(links)
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -230,8 +223,8 @@ class TestTgdfa:
             s = np.full((n, n), -4.0)
             for i, j in enumerate(perm):
                 s[i, j] = 4.0
-            fwd = threshold_directional(s, 2.0, "forward")
-            bwd = threshold_directional(s, 2.0, "backward")
+            fwd = threshold_directional(s, 2.0)
+            bwd = {(i, j) for j, i in threshold_directional(s.T, 2.0)}
             out = gdfa(fwd, bwd, n, n)
             assert out == {(i, int(j)) for i, j in enumerate(perm)}
 
@@ -261,8 +254,8 @@ class TestTgdfa:
         cfg = gnn.TrainConfig(hidden=16, feature=fc)
         params = gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(5))
         s = score_matrix(sf, params, "eng", "fra", fc)
-        fwd = threshold_directional(s, 2.0, "forward")
-        bwd = threshold_directional(s, 2.0, "backward")
+        fwd = threshold_directional(s, 2.0)
+        bwd = {(i, j) for j, i in threshold_directional(s.T, 2.0)}
         orig = {(0, 0), (2, 1)}
         out = threshold_gdfa(s, 2.0, orig_gdfa=orig)
         assert fwd & bwd <= out <= fwd | bwd | orig
