@@ -28,12 +28,7 @@ import numpy as np  # noqa: E402
 
 from mpalign import gnn, synth  # noqa: E402
 from mpalign.autodiff import Tensor, narrow  # noqa: E402
-from mpalign.features import (  # noqa: E402
-    FeatureConfig,
-    FeatureStandardizer,
-    centralities,
-    featurize,
-)
+from mpalign.features import FeatureStandardizer, centralities, featurize  # noqa: E402
 from mpalign.graph import build_graph  # noqa: E402
 
 LAYERS = ("encode", "decode", "loss", "backward", "adamw")
@@ -60,14 +55,13 @@ def make_step_inputs(hidden=512, seed=0):
     langs = sorted(res.corpus.languages)
     words = sorted({(lang, tok) for g in graphs for lang in langs for tok in g.tokens[lang]})
     vocab = {word: i for i, word in enumerate(words)}
-    fc = FeatureConfig()
     standardizer = FeatureStandardizer.fit([centralities(g) for g in graphs])
     lang_index = {lang: i for i, lang in enumerate(langs)}
-    config = gnn.TrainConfig(hidden=hidden, feature=fc)
+    config = gnn.TrainConfig(hidden=hidden)
     params = gnn.init_params(config, len(langs), len(vocab), np.random.default_rng(seed))
     steps = []
     for g in graphs:
-        sf = featurize(g, standardizer, lang_index, vocab, fc)
+        sf = featurize(g, standardizer, lang_index, vocab, config.seed)
         us, vs = g.edges[:, 0], g.edges[:, 1]
         neg_u, neg_v = gnn.sample_negatives(sf, us, vs, np.random.default_rng(seed))
         pairs = (np.concatenate([us, neg_u]), np.concatenate([vs, neg_v]), len(us))
@@ -80,7 +74,7 @@ def timed_step(sf, pairs, config, params, opt) -> tuple[dict[str, float], tuple]
     us, vs, n_pos = pairs
     t0 = time.perf_counter()
     P = gnn.as_leaves(params)
-    hidden = gnn.encode(sf, P, config.feature)
+    hidden = gnn.encode(sf, P, config.ablate)
     t1 = time.perf_counter()
     p = gnn.decode_pairs(hidden, us, vs, P)
     t2 = time.perf_counter()
@@ -98,7 +92,7 @@ def timed_step(sf, pairs, config, params, opt) -> tuple[dict[str, float], tuple]
 
 def run_suite(hidden=512):
     steps, config, params = make_step_inputs(hidden)
-    opt = gnn.AdamW(params, lr=config.lr, frozen=gnn.frozen_param_names(config.feature))
+    opt = gnn.AdamW(params, lr=config.lr, frozen=gnn.frozen_param_names(config.ablate))
     # as in train_model's loop, a step's tape is freed only after the next
     # step's forward: freeing it first lets glibc hand the heap back to the
     # kernel and fault it in again each step (about 4,000 faults per step)
@@ -114,7 +108,7 @@ def run_suite(hidden=512):
     frozen = {name: Tensor(arr) for name, arr in params.items()}
     for k in range(WARMUP + REPEATS):
         t0 = time.perf_counter()
-        gnn.encode(steps[k % len(steps)][0], frozen, config.feature)
+        gnn.encode(steps[k % len(steps)][0], frozen, config.ablate)
         if k >= WARMUP:
             samples[k - WARMUP]["infer"] = time.perf_counter() - t0
     results = {

@@ -18,7 +18,7 @@ from .corpus import (
     write_pharaoh,
 )
 from .evaluation import EvalReport, community_alignment_eval, frequency_bins, score
-from .features import FeatureConfig, FeatureStandardizer, centralities, featurize
+from .features import FeatureStandardizer, centralities, featurize
 from .gnn import TrainConfig, gradient_check, train_model
 from .graph import AlignmentGraph, TokenNode, build_graph, connected_components
 from .inference import gdfa, score_matrix, threshold_directional, threshold_gdfa
@@ -28,7 +28,6 @@ __all__ = [
     "AlignmentGraph",
     "BilingualAlignmentSet",
     "EvalReport",
-    "FeatureConfig",
     "FeatureStandardizer",
     "GoldAlignment",
     "MultiParallelCorpus",

@@ -14,11 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import FeatureConfig, FeatureStandardizer
+from .features import FeatureStandardizer
 from .gnn import PARAM_NAMES, TrainConfig, param_shapes
 
 MAGIC = b"MPWA"
-VERSION = 4
+VERSION = 5
 
 _DTYPES = {0: "<f4", 1: "<f8", 2: "<i4", 3: "<i8"}
 _DTYPE_CODES = {np.dtype(v): k for k, v in _DTYPES.items()}
@@ -73,7 +73,7 @@ def save_checkpoint(
     meta = {
         "languages": list(languages),
         "word_vocab": [list(k) for k, _ in sorted(word_vocab.items(), key=lambda kv: kv[1])],
-        "train_config": _config_dict(train_config),
+        "train_config": asdict(train_config),  # tuples become JSON lists
     }
     buf = io.BytesIO()
     buf.write(MAGIC)
@@ -90,18 +90,6 @@ def save_checkpoint(
     Path(path).write_bytes(buf.getvalue())
 
 
-def _config_dict(cfg: TrainConfig) -> dict:
-    d = asdict(cfg)
-    d["feature"]["ablate"] = list(d["feature"]["ablate"])
-    return d
-
-
-def _config_from_dict(d: dict) -> TrainConfig:
-    feat = dict(d["feature"])
-    feat["ablate"] = tuple(feat["ablate"])
-    return TrainConfig(**{**d, "feature": FeatureConfig(**feat)})
-
-
 def load_checkpoint(path: str | Path):
     """Returns (params, standardizer, languages, word_vocab, train_config)."""
     with open(path, "rb") as fh:
@@ -109,7 +97,10 @@ def load_checkpoint(path: str | Path):
             raise CheckpointError(f"{path}: bad magic bytes")
         (version,) = struct.unpack("<I", _read_exact(fh, 4))
         if version != VERSION:
-            raise CheckpointError(f"{path}: unsupported version {version}")
+            raise CheckpointError(
+                f"{path}: unsupported version {version} (this mpalign reads "
+                f"version {VERSION}); retrain the model"
+            )
         (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8))
         meta = json.loads(_read_exact(fh, meta_len).decode("utf-8"))
         (n_arrays,) = struct.unpack("<I", _read_exact(fh, 4))
@@ -117,7 +108,8 @@ def load_checkpoint(path: str | Path):
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes")
 
-    train_config = _config_from_dict(meta["train_config"])
+    stored = meta["train_config"]
+    train_config = TrainConfig(**{**stored, "ablate": tuple(stored["ablate"])})
     missing = [n for n in PARAM_NAMES if n not in arrays]
     if missing:
         raise CheckpointError(f"{path}: missing arrays {missing}")

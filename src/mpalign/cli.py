@@ -51,10 +51,6 @@ def _add_data_arg(p: argparse.ArgumentParser) -> None:
 
 def _add_cd_args(p: argparse.ArgumentParser) -> None:
     g = _settings(p, "community detection")
-    g.add_argument("--gamma", type=float, help="modularity resolution")
-    g.add_argument("--lpc-portion", type=float,
-                   help="fraction of nodes updated per label propagation round")
-    g.add_argument("--lpc-max-iters", type=int)
     g.add_argument("--seed", type=int,
                    help="base of the per-sentence LPC seeds; also the training seed")
 
@@ -154,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="project POS tags through alignments")
     _add_data_arg(p)
     p.add_argument("--target", required=True, help="target language code")
-    p.add_argument("--sources", type=_csv, required=True)
+    p.add_argument("--sources", type=_csv, required=True,
+                   help="source languages; a tied vote goes to the earlier one")
     p.add_argument("--alignments", type=_csv, required=True,
                    help="target-source Pharaoh file per source language")
     p.add_argument("--tags", type=_csv, required=True,
@@ -162,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--swap", action="store_true",
                    help="alignment files are source-target instead of target-source")
     p.add_argument("--x-threshold", type=float, default=0.5)
-    p.add_argument("--priority", type=_csv, default=None,
-                   help="tie-break language order (default: --sources order)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_project)
 
@@ -225,7 +220,7 @@ def cmd_build_graph(args) -> int:
 def cmd_communities(args) -> int:
     cfg = _pipeline_config(args, str(Path(args.out).parent))
     _, _, graphs = _load_graphs(args)
-    pl.write_communities_tsv(graphs, args.algorithm, Path(args.out), cfg.feature_config())
+    pl.write_communities_tsv(graphs, args.algorithm, Path(args.out), cfg.seed)
     print(f"wrote {args.algorithm} communities for {len(graphs)} sentences to {args.out}")
     return 0
 
@@ -328,7 +323,7 @@ def cmd_project(args) -> int:
                 ProjectionSource(lang, sent_tags, links[lang].links.get(sid, set()))
             )
         if sources:
-            sentences.append(project(sid, toks, sources, priority=args.priority))
+            sentences.append(project(sid, toks, sources))
     kept = filter_x(sentences, threshold=args.x_threshold)
     write_conll(kept, args.out)
     print(

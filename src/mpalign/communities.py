@@ -170,19 +170,18 @@ class CdStats:
     edge_removal_fraction: float
 
 
-def detect(g: AlignmentGraph, algorithm: str, *, gamma: float, seed: int,
-           portion: float, max_iters: int) -> Partition:
-    """Run one detector by name; edgeless graphs fall back to singletons.
+def detect(g: AlignmentGraph, algorithm: str, seed: int) -> Partition:
+    """Run one detector by name at its defaults; ``seed`` seeds LPC only.
+    Edgeless graphs fall back to singletons.
 
-    ``features.partition`` is the one caller: it takes the settings from the
-    run's ``FeatureConfig`` and seeds LPC per sentence.
+    ``features.partition`` is the one caller: it seeds LPC per sentence.
     """
     if algorithm == "gmc":
         if g.m == 0:
             return Partition.singletons(g.n)
-        return gmc(g, gamma=gamma)
+        return gmc(g)
     if algorithm == "lpc":
-        return lpc(g, seed=seed, portion=portion, max_iters=max_iters)
+        return lpc(g, seed)
     raise ValueError(f"unknown community detection algorithm {algorithm!r}")
 
 

@@ -83,7 +83,8 @@ def _read_tabbed(path: Path, bare_id_ok: bool = False):
 
 
 def load_corpus(paths: Mapping[str, str | Path]) -> MultiParallelCorpus:
-    """Load per-language token files; keep only sentence ids shared by >= 2 languages."""
+    """Load per-language token files; keep only sentence ids shared by >= 2
+    languages. A file that holds no sentence is refused with its path."""
     per_lang: dict[str, dict[str, list[str]]] = {}
     for lang in sorted(paths):
         path = Path(paths[lang])
@@ -95,6 +96,8 @@ def load_corpus(paths: Mapping[str, str | Path]) -> MultiParallelCorpus:
             if not toks:
                 raise CorpusFormatError(f"{path}:{line_no}: sentence {sid!r} has no tokens")
             seen[sid] = toks
+        if not seen:
+            raise CorpusFormatError(f"{path}: no sentence")
         per_lang[lang] = seen
 
     counts: dict[str, int] = {}

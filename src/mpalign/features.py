@@ -68,27 +68,9 @@ class FeatureStandardizer:
         return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    ablate: tuple[str, ...] = ()
-    gamma: float = 1.0  # GMC modularity resolution
-    lpc_seed: int = 0  # base of the per-sentence LPC seeds
-    lpc_portion: float = 0.5
-    lpc_max_iters: int = 100
-
-    def __post_init__(self):
-        unknown = set(self.ablate) - set(BLOCK_WIDTHS)
-        if unknown:
-            raise ValueError(f"unknown ablation block(s): {sorted(unknown)}")
-        if not 0 < self.lpc_portion <= 1:
-            raise ValueError(f"lpc_portion must be in (0, 1], not {self.lpc_portion}")
-
-    def active(self, block: str) -> bool:
-        return block not in self.ablate
-
-    @property
-    def input_dim(self) -> int:
-        return sum(w for b, w in BLOCK_WIDTHS.items() if self.active(b))
+def input_dim(ablate: tuple[str, ...]) -> int:
+    """Width of the input vector without the *ablate* blocks."""
+    return sum(w for b, w in BLOCK_WIDTHS.items() if b not in ablate)
 
 
 def community_indices(p: Partition, cap: int) -> np.ndarray:
@@ -127,7 +109,11 @@ def train_word_embeddings(
     sqrt singular values.
 
     Returns a float32 table of shape (len(vocab)+1, WORD_DIM); the last row is
-    the all-zero UNK initialization. Rank deficits are padded with zero columns.
+    the all-zero UNK initialization. The rank is capped only by the matrix
+    shape, ``min(WORD_DIM, n_rows - 1, n_cols - 1)``; columns past that cap are
+    zero. Components whose singular value is numerically zero are kept, so a
+    matrix of lower numerical rank gets near-zero columns along arbitrary
+    null-space directions.
     """
     ids = sorted(sentence_ids)
     col_of = {sid: j for j, sid in enumerate(ids)}
@@ -215,17 +201,11 @@ def derive_seed(base: int, tag: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def partition(g: AlignmentGraph, algorithm: str, config: FeatureConfig) -> Partition:
-    """One detector's partition of ``g``, seeded per sentence for LPC: the one
-    call of ``communities.detect``, so every analysis sees the same partitions."""
-    return detect(
-        g,
-        algorithm,
-        gamma=config.gamma,
-        seed=derive_seed(config.lpc_seed, f"lpc:{g.sentence_id}"),
-        portion=config.lpc_portion,
-        max_iters=config.lpc_max_iters,
-    )
+def partition(g: AlignmentGraph, algorithm: str, seed: int) -> Partition:
+    """One detector's partition of ``g``, LPC seeded per sentence from the
+    base *seed*: the one call of ``communities.detect``, so every analysis
+    sees the same partitions."""
+    return detect(g, algorithm, derive_seed(seed, f"lpc:{g.sentence_id}"))
 
 
 def featurize(
@@ -233,11 +213,12 @@ def featurize(
     standardizer: FeatureStandardizer,
     lang_index: Mapping[str, int],
     vocab: Mapping[tuple[str, str], int],
-    config: FeatureConfig,
+    seed: int,
 ) -> SentenceFeatures:
-    """Compute every constant model input for one sentence graph."""
-    p_gmc = partition(g, "gmc", config)
-    p_lpc = partition(g, "lpc", config)
+    """Compute every constant model input for one sentence graph; *seed* is
+    the base of the LPC seeds (see :func:`partition`)."""
+    p_gmc = partition(g, "gmc", seed)
+    p_lpc = partition(g, "lpc", seed)
     unk = len(vocab)
     lang_idx = np.empty(g.n, dtype=np.int64)
     word_idx = np.empty(g.n, dtype=np.int64)

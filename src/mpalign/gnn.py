@@ -14,7 +14,7 @@ positives and negatives are decoded in one pass.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -22,6 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .features import (
+    BLOCK_WIDTHS,
     CENT_DIM,
     CENTRALITY_NAMES,
     COMM_DIM,
@@ -30,9 +31,9 @@ from .features import (
     POS_DIM,
     POS_TABLE,
     WORD_DIM,
-    FeatureConfig,
     SentenceFeatures,
     derive_seed,
+    input_dim,
 )
 
 LEAKY_SLOPE = 0.2
@@ -74,15 +75,21 @@ class NonFiniteGradientError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Model and training settings; ``seed`` also seeds the per-sentence LPC
+    runs of featurization, and ``ablate`` names input blocks to drop."""
+
     hidden: int = 512
     lr: float = 1e-3
     batch_size: int = 400
     epochs: int = 1
     train_sample: int = 6400
     seed: int = 0
-    feature: FeatureConfig = field(default_factory=FeatureConfig)
+    ablate: tuple[str, ...] = ()
 
     def __post_init__(self):
+        unknown = set(self.ablate) - set(BLOCK_WIDTHS)
+        if unknown:
+            raise ValueError(f"unknown ablation block(s): {sorted(unknown)}")
         for name in ("hidden", "batch_size", "epochs", "train_sample"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, not {getattr(self, name)}")
@@ -102,7 +109,7 @@ def param_shapes(
     h = config.hidden
     n_cent = len(CENTRALITY_NAMES)
     return {
-        "gat1.W": (config.feature.input_dim, h),
+        "gat1.W": (input_dim(config.ablate), h),
         "gat1.a": (2 * h, 1),
         "gat2.W": (h, h),
         "gat2.a": (2 * h, 1),
@@ -142,13 +149,13 @@ def init_params(
             # each centrality's lift reads one scalar: fan-in 1
             fan_in = 1 if name == "feat.cent_w" else shape[0]
             params[name] = _xavier(rng, fan_in, shape[1], shape)
-    for name in frozen_param_names(config.feature):
+    for name in frozen_param_names(config.ablate):
         params[name] = np.zeros_like(params[name])
     return params
 
 
-def frozen_param_names(config: FeatureConfig) -> set[str]:
-    return {name for block in config.ablate for name in _BLOCK_PARAMS[block]}
+def frozen_param_names(ablate: tuple[str, ...]) -> set[str]:
+    return {name for block in ablate for name in _BLOCK_PARAMS[block]}
 
 
 def as_leaves(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
@@ -159,23 +166,23 @@ def as_leaves(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
 # forward pieces
 
 
-def assemble(sf: SentenceFeatures, P: dict[str, Tensor], config: FeatureConfig) -> Tensor:
+def assemble(sf: SentenceFeatures, P: dict[str, Tensor], ablate: tuple[str, ...]) -> Tensor:
     dtype = P["gat1.W"].dtype
     blocks: list[Tensor] = []
-    if config.active("centrality"):
+    if "centrality" not in ablate:
         for k in range(len(CENTRALITY_NAMES)):
             zk = ad.constant(sf.z_cent[:, k : k + 1].astype(dtype))
             wk = ad.narrow(P["feat.cent_w"], k, k + 1)
             bk = ad.narrow(P["feat.cent_b"], k, k + 1)
             blocks.append(zk @ wk + bk)
-    if config.active("community"):
+    if "community" not in ablate:
         blocks.append(ad.rows(P["feat.comm_gmc"], sf.comm_gmc))
         blocks.append(ad.rows(P["feat.comm_lpc"], sf.comm_lpc))
-    if config.active("position"):
+    if "position" not in ablate:
         blocks.append(ad.rows(P["feat.pos"], sf.pos_idx))
-    if config.active("language"):
+    if "language" not in ablate:
         blocks.append(ad.rows(P["feat.lang"], sf.lang_idx))
-    if config.active("word"):
+    if "word" not in ablate:
         blocks.append(ad.rows(P["feat.word"], sf.word_idx))
     return ad.concat(blocks, axis=1)
 
@@ -205,10 +212,10 @@ def gat_layer(
 def encode(
     sf: SentenceFeatures,
     P: dict[str, Tensor],
-    config: FeatureConfig,
+    ablate: tuple[str, ...],
     attn_out: list | None = None,
 ) -> Tensor:
-    x = assemble(sf, P, config)
+    x = assemble(sf, P, ablate)
     x = ad.relu(gat_layer(x, P["gat1.W"], P["gat1.a"], sf, attn_out))
     x = ad.relu(gat_layer(x, P["gat2.W"], P["gat2.a"], sf, attn_out))
     return x @ P["enc.W"] + P["enc.b"]
@@ -432,7 +439,7 @@ class TrainResult:
 def _forward_loss(
     sf: SentenceFeatures,
     params: dict[str, np.ndarray],
-    config: FeatureConfig,
+    ablate: tuple[str, ...],
     us: np.ndarray,
     vs: np.ndarray,
     neg_u: np.ndarray,
@@ -440,7 +447,7 @@ def _forward_loss(
 ) -> tuple[Tensor, dict[str, Tensor]]:
     """The loss of one batch and the parameter leaves it was computed from."""
     P = as_leaves(params)
-    return _decode_loss(encode(sf, P, config), P, us, vs, neg_u, neg_v), P
+    return _decode_loss(encode(sf, P, ablate), P, us, vs, neg_u, neg_v), P
 
 
 def _decode_loss(
@@ -481,7 +488,7 @@ def train_model(
         usable = [usable[i] for i in sorted(idx)]
 
     params = init_params(config, n_languages, vocab_size, rng, word_table)
-    opt = AdamW(params, lr=config.lr, frozen=frozen_param_names(config.feature))
+    opt = AdamW(params, lr=config.lr, frozen=frozen_param_names(config.ablate))
 
     losses: list[float] = []
     for epoch in range(config.epochs):
@@ -493,7 +500,7 @@ def train_model(
             )
             for us, vs in edge_batches(sf, config.batch_size, srng):
                 neg_u, neg_v = sample_negatives(sf, us, vs, srng)
-                loss, P = _forward_loss(sf, params, config.feature, us, vs, neg_u, neg_v)
+                loss, P = _forward_loss(sf, params, config.ablate, us, vs, neg_u, neg_v)
                 loss.backward()
                 opt.step({name: t.grad for name, t in P.items()})
                 losses.append(float(loss.data))
@@ -585,7 +592,7 @@ def compare_grads(
 def gradient_check(
     sf: SentenceFeatures,
     params: dict[str, np.ndarray],
-    config: FeatureConfig,
+    ablate: tuple[str, ...],
     seed: int = 0,
     sample_fraction: float = 0.01,
     h: float = 1e-5,
@@ -608,7 +615,7 @@ def gradient_check(
     neg_u, neg_v = sample_negatives(sf, us, vs, rng)
 
     P = as_leaves(params64)
-    hidden = encode(sf, P, config)
+    hidden = encode(sf, P, ablate)
     _decode_loss(hidden, P, us, vs, neg_u, neg_v).backward()
     analytic = {
         name: (t.grad if t.grad is not None else np.zeros_like(t.data))
@@ -618,7 +625,7 @@ def gradient_check(
 
     def forward(name: str) -> float:
         P = as_leaves(params64)
-        h = unperturbed if name.startswith("dec") else encode(sf, P, config)
+        h = unperturbed if name.startswith("dec") else encode(sf, P, ablate)
         return float(_decode_loss(h, P, us, vs, neg_u, neg_v).data)
 
     return compare_grads(

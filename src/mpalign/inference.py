@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gnn
 from .autodiff import Tensor
-from .features import FeatureConfig, SentenceFeatures
+from .features import SentenceFeatures
 
 NEIGHBOR_OFFSETS = ((-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
 
@@ -28,7 +28,7 @@ def score_matrices(
     params: dict[str, np.ndarray],
     lang_x: str,
     lang_y: str,
-    config: FeatureConfig,
+    ablate: tuple[str, ...],
 ) -> list[np.ndarray]:
     """The logit of every (x_i, y_j) pair of each sentence: one float64 ``(m, l)``
     array per sentence, symmetric under role swap (see the module docstring).
@@ -48,7 +48,7 @@ def score_matrices(
     P = {name: Tensor(arr) for name, arr in params.items()}
     x_rows, y_rows = [], []
     for sf in feats:
-        hidden = gnn.encode(sf, P, config).data
+        hidden = gnn.encode(sf, P, ablate).data
         start_x, m = sf.graph.offsets[lang_x]
         start_y, l = sf.graph.offsets[lang_y]
         # copies: a view would keep the sentence's whole encoder output alive
@@ -78,10 +78,10 @@ def score_matrix(
     params: dict[str, np.ndarray],
     lang_x: str,
     lang_y: str,
-    config: FeatureConfig,
+    ablate: tuple[str, ...],
 ) -> np.ndarray:
     """:func:`score_matrices` of one sentence."""
-    return score_matrices([sf], params, lang_x, lang_y, config)[0]
+    return score_matrices([sf], params, lang_x, lang_y, ablate)[0]
 
 
 def _row_softmax(s: np.ndarray) -> np.ndarray:

@@ -1,12 +1,13 @@
 """End-to-end orchestration: graphs -> communities -> features -> train -> align -> eval.
 
 Each stage writes its artifacts together with a ``.key`` file holding a content
-hash of its inputs and configuration; a rerun with unchanged inputs skips the
-stage and reuses the artifacts byte-for-byte. A stage removes its key before it
-writes and writes the key last, so artifacts left by a stage that failed are
-never taken for a cache hit.
+hash of its inputs, its configuration and the program (:func:`code_digest`); a
+rerun with unchanged inputs skips the stage and reuses the artifacts
+byte-for-byte. A stage removes its key before it writes and writes the key
+last, so artifacts left by a stage that failed are never taken for a cache hit.
 """
 
+import functools
 import hashlib
 import json
 import logging
@@ -15,6 +16,7 @@ from pathlib import Path
 from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
+import scipy
 
 from . import evaluation
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -28,7 +30,6 @@ from .corpus import (
     write_pharaoh,
 )
 from .features import (
-    FeatureConfig,
     FeatureStandardizer,
     build_word_vocab,
     centralities,
@@ -45,11 +46,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class PipelineConfig:
-    """Every setting of a run. Model and featurization settings mirror
-    :class:`TrainConfig` and :class:`FeatureConfig` and take their defaults
-    from them; ``seed`` seeds training and is the base of the LPC seeds.
-    ``alpha`` sets the row-softmax bar over the decoder logits; ``orig``
-    names bilingual links that join the GDFA union (method tgdfa+orig)."""
+    """Every setting of a run. Model settings mirror :class:`TrainConfig` and
+    take their defaults from it; ``seed`` seeds training and is the base of
+    the LPC seeds. ``alpha`` sets the row-softmax bar over the decoder logits;
+    ``orig`` names bilingual links that join the GDFA union (method
+    tgdfa+orig)."""
 
     data_dir: str
     out_dir: str
@@ -67,10 +68,7 @@ class PipelineConfig:
     train_sample: int = TrainConfig.train_sample
     seed: int = TrainConfig.seed
     hidden: int = TrainConfig.hidden
-    ablate: tuple[str, ...] = FeatureConfig.ablate
-    gamma: float = FeatureConfig.gamma
-    lpc_portion: float = FeatureConfig.lpc_portion
-    lpc_max_iters: int = FeatureConfig.lpc_max_iters
+    ablate: tuple[str, ...] = TrainConfig.ablate
     eval_bins: int = 0
 
     def validate(self) -> None:
@@ -85,15 +83,6 @@ class PipelineConfig:
     def method(self) -> str:
         return "tgdfa+orig" if self.orig else "tgdfa"
 
-    def feature_config(self) -> FeatureConfig:
-        return FeatureConfig(
-            ablate=tuple(self.ablate),
-            gamma=self.gamma,
-            lpc_seed=self.seed,
-            lpc_portion=self.lpc_portion,
-            lpc_max_iters=self.lpc_max_iters,
-        )
-
     def train_config(self) -> TrainConfig:
         return TrainConfig(
             hidden=self.hidden,
@@ -102,7 +91,7 @@ class PipelineConfig:
             epochs=self.epochs,
             train_sample=self.train_sample,
             seed=self.seed,
-            feature=self.feature_config(),
+            ablate=tuple(self.ablate),
         )
 
 
@@ -128,6 +117,11 @@ def discover_alignment_files(data_dir: str | Path) -> dict[tuple[str, str], Path
             raise ValueError(
                 f"alignment file {path} pairs {la} with itself; "
                 "<langA>-<langB>.align needs two different languages"
+            )
+        if (lb, la) in out:
+            raise ValueError(
+                f"alignment files {out[(lb, la)]} and {path} both align {la} with {lb}; "
+                "keep one of them"
             )
         out[(la, lb)] = path
     return out
@@ -214,6 +208,18 @@ def _hash_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
+@functools.cache
+def code_digest() -> str:
+    """sha256 over this package's ``.py`` files (name and bytes, in sorted
+    order) and the numpy and scipy versions: a stage key that holds it
+    misses after a source edit or an upgrade that can move the results."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    h.update(f"numpy {np.__version__} scipy {scipy.__version__}".encode())
+    return h.hexdigest()
+
+
 def stage_key(parts: Mapping) -> str:
     return hashlib.sha256(
         json.dumps(parts, sort_keys=True, default=str).encode()
@@ -270,14 +276,11 @@ def compute_centralities(
 
 
 def write_communities_tsv(
-    graphs: Mapping[str, AlignmentGraph],
-    algorithm: str,
-    path: Path,
-    config: FeatureConfig,
+    graphs: Mapping[str, AlignmentGraph], algorithm: str, path: Path, seed: int
 ) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for sid in sorted(graphs):
-            p = partition(graphs[sid], algorithm, config)
+            p = partition(graphs[sid], algorithm, seed)
             items = " ".join(f"{v}:{c}" for v, c in enumerate(p.labels))
             fh.write(f"{sid}\t{items}\n")
 
@@ -300,13 +303,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
     }
     for pair, path in discover_alignment_files(cfg.data_dir).items():
         input_hashes[str(path)] = _hash_file(path)
-    inputs = {"inputs": input_hashes, "one_based": cfg.one_based}
-    base = {
-        **inputs,
-        "gamma": cfg.gamma,
-        "lpc": [cfg.lpc_portion, cfg.lpc_max_iters],
-        "seed": cfg.seed,
-    }
+    inputs = {"inputs": input_hashes, "one_based": cfg.one_based, "code": code_digest()}
+    base = {**inputs, "seed": cfg.seed}
 
     try:
         corpus, asets = load_inputs(cfg.data_dir, one_based=cfg.one_based)
@@ -337,7 +335,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
 
     def write_communities():
         for algo, path in zip(("gmc", "lpc"), comm_paths):
-            write_communities_tsv(graphs, algo, path, cfg.feature_config())
+            write_communities_tsv(graphs, algo, path, cfg.seed)
 
     run_stage("communities", comm_key, comm_paths, write_communities)
     artifacts["communities_gmc"] = comm_paths[0]
@@ -490,7 +488,7 @@ def train_stage(
     standardizer, vocab, word_table = fitted
     lang_index = {lang: i for i, lang in enumerate(corpus.languages)}
     feats = [
-        featurize(graphs[sid], standardizer, lang_index, vocab, tc.feature)
+        featurize(graphs[sid], standardizer, lang_index, vocab, tc.seed)
         for sid in train_ids
     ]
     result = train_model(feats, tc, len(corpus.languages), len(vocab), word_table)
@@ -550,9 +548,9 @@ def align_with_model(
                         f"{m}x{n} sentence pair"
                     )
     feats = [
-        featurize(graphs[sid], standardizer, lang_index, vocab, tc.feature) for sid in ids
+        featurize(graphs[sid], standardizer, lang_index, vocab, tc.seed) for sid in ids
     ]
-    scores = score_matrices(feats, params, la, lb, tc.feature)
+    scores = score_matrices(feats, params, la, lb, tc.ablate)
     for sid, s in zip(ids, scores):
         result.links[sid] = threshold_gdfa(s, cfg.alpha, orig.get(sid))
     write_pharaoh(result, out_path)

@@ -1,8 +1,8 @@
 """Cross-lingual POS projection through word alignments.
 
 Each target token collects one vote per aligned source token (across all
-source languages); the majority tag wins, ties fall to the earliest language
-in the priority list (then to the earliest vote). Unaligned tokens get "X",
+source languages); the majority tag wins, ties fall to the earliest source
+language (then to the earliest vote). Unaligned tokens get "X",
 and sentences with too many "X" tags are filtered out.
 """
 
@@ -36,11 +36,10 @@ def project(
     sentence_id: str,
     target_tokens: Sequence[str],
     sources: Sequence[ProjectionSource],
-    priority: Sequence[str] | None = None,
 ) -> ProjectedSentence:
-    """Majority-vote tag projection; a token with no votes is tagged "X"."""
-    order = list(priority) if priority is not None else [s.language for s in sources]
-    rank = {lang: r for r, lang in enumerate(order)}
+    """Majority-vote tag projection; a token with no votes is tagged "X".
+    Ties rank by the order of *sources*."""
+    rank = {src.language: r for r, src in enumerate(sources)}
     votes: list[list[tuple[str, str]]] = [[] for _ in target_tokens]
     for src in sources:
         for t_idx, s_idx in sorted(src.links):
@@ -64,7 +63,7 @@ def project(
         best_key: dict[str, tuple] = {}
         for pos, (lang, tag) in enumerate(token_votes):
             counts[tag] = counts.get(tag, 0) + 1
-            key = (rank.get(lang, len(rank)), pos)
+            key = (rank[lang], pos)
             if tag not in best_key or key < best_key[tag]:
                 best_key[tag] = key
         tags.append(

@@ -466,23 +466,23 @@ def loss_scalar(p_pos, p_neg, eps: float = 1e-7) -> float:
     return total
 
 
-def assemble_reference(sf, params, config) -> np.ndarray:
+def assemble_reference(sf, params, ablate) -> np.ndarray:
     """Node input rows by plain table lookup: each z-scored centrality times
     its lift row plus its bias row, then the GMC, LPC, position, language and
-    word rows of the blocks *config* keeps."""
+    word rows of the blocks not in *ablate*."""
     n = sf.z_cent.shape[0]
     blocks = []
-    if config.active("centrality"):
+    if "centrality" not in ablate:
         lift = sf.z_cent[:, :, None] * params["feat.cent_w"] + params["feat.cent_b"]
         blocks.append(lift.reshape(n, -1))
-    if config.active("community"):
+    if "community" not in ablate:
         blocks.append(params["feat.comm_gmc"][sf.comm_gmc])
         blocks.append(params["feat.comm_lpc"][sf.comm_lpc])
-    if config.active("position"):
+    if "position" not in ablate:
         blocks.append(params["feat.pos"][sf.pos_idx])
-    if config.active("language"):
+    if "language" not in ablate:
         blocks.append(params["feat.lang"][sf.lang_idx])
-    if config.active("word"):
+    if "word" not in ablate:
         blocks.append(params["feat.word"][sf.word_idx])
     return np.concatenate(blocks, axis=1)
 
@@ -552,7 +552,7 @@ def adamw_reference(params, grads, m, v, t, lr=1e-3, betas=(0.9, 0.999), eps=1e-
     return t
 
 
-def gradient_check_reference(sf, params, config, seed=0, sample_fraction=0.01, h=1e-5,
+def gradient_check_reference(sf, params, ablate, seed=0, sample_fraction=0.01, h=1e-5,
                              tolerance=1e-4, max_positives=16):
     """``gnn.gradient_check`` with every probe running the whole model."""
     from mpalign import gnn
@@ -564,7 +564,7 @@ def gradient_check_reference(sf, params, config, seed=0, sample_fraction=0.01, h
     sel = rng.choice(len(edges), size=take, replace=False)
     us, vs = edges[sel, 0], edges[sel, 1]
     neg_u, neg_v = gnn.sample_negatives(sf, us, vs, rng)
-    loss, P = gnn._forward_loss(sf, params64, config, us, vs, neg_u, neg_v)
+    loss, P = gnn._forward_loss(sf, params64, ablate, us, vs, neg_u, neg_v)
     loss.backward()
     analytic = {
         name: (t.grad if t.grad is not None else np.zeros_like(t.data))
@@ -572,7 +572,7 @@ def gradient_check_reference(sf, params, config, seed=0, sample_fraction=0.01, h
     }
 
     def forward(name):
-        val, _ = gnn._forward_loss(sf, params64, config, us, vs, neg_u, neg_v)
+        val, _ = gnn._forward_loss(sf, params64, ablate, us, vs, neg_u, neg_v)
         return float(val.data)
 
     return gnn.compare_grads(forward, params64, analytic, rng,

@@ -16,7 +16,7 @@ from mpalign.cli import main
 from mpalign.communities import Partition, cd_stats, gmc, lpc, modularity
 from mpalign.corpus import GoldAlignment
 from mpalign.evaluation import community_alignment_eval, score
-from mpalign.features import BLOCK_WIDTHS, FeatureConfig, partition
+from mpalign.features import BLOCK_WIDTHS, input_dim, partition
 from mpalign.graph import build_graph
 from mpalign.inference import gdfa, NEIGHBOR_OFFSETS
 from mpalign.synth import SynthConfig, generate, write_synth
@@ -114,14 +114,13 @@ def test_03_centrality_oracle():
 
 @criterion(4, "assembled features are 236-dim; ablations remove exact widths")
 def test_04_feature_shape():
-    sf, vocab, _ = make_bundle()
+    sf, vocab = make_bundle()
     for ablate in [()] + [(block,) for block in BLOCK_WIDTHS]:
-        config = FeatureConfig(ablate=ablate)
         width = 236 - sum(BLOCK_WIDTHS[b] for b in ablate)
-        assert config.input_dim == width
-        cfg = gnn.TrainConfig(hidden=8, feature=config)
+        assert input_dim(ablate) == width
+        cfg = gnn.TrainConfig(hidden=8, ablate=ablate)
         params = gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(0))
-        x = gnn.assemble(sf, gnn.as_leaves(params), config)
+        x = gnn.assemble(sf, gnn.as_leaves(params), ablate)
         assert x.data.shape == (sf.graph.n, width)
 
 
@@ -136,15 +135,15 @@ def test_05_gradient_check():
             u = int(rng.integers(3))
             v = int(rng.integers(3))
             edges.add((u, 3 + v))
-        sf, vocab, fc = make_bundle(
+        sf, vocab = make_bundle(
             seed=trial, n_eng=3, n_fra=3, edges=sorted(edges)
         )
-        cfg = gnn.TrainConfig(hidden=512, feature=fc)
+        cfg = gnn.TrainConfig(hidden=512)
         params = gnn.init_params(cfg, 2, len(vocab), rng)
         # sample a small stratified slice per trial so 20 full-size trials
         # stay inside the one-minute budget (about 250 parameters each)
         report = gnn.gradient_check(
-            sf, params, fc, seed=trial, sample_fraction=2e-4, h=1e-5,
+            sf, params, (), seed=trial, sample_fraction=2e-4, h=1e-5,
             tolerance=1e-4,
         )
         assert report.ok, (trial, report.worst)
@@ -287,8 +286,7 @@ def test_09_component_counts(planted_run):
         build_graph(sid, res.corpus.sentences[sid], list(res.alignments.values()))
         for sid in sorted(res.corpus.sentences)
     ]
-    config = FeatureConfig(lpc_seed=0)
-    partitions = {g.sentence_id: partition(g, "lpc", config) for g in graphs}
+    partitions = {g.sentence_id: partition(g, "lpc", 0) for g in graphs}
     stats = cd_stats(graphs, partitions)
     assert abs(stats.mean_components - k) <= 0.1 * k, stats.mean_components
 

@@ -12,7 +12,7 @@ from mpalign.communities import (
     modularity,
     refine_edges,
 )
-from mpalign.features import FeatureConfig, partition
+from mpalign.features import partition
 from mpalign.graph import connected_components
 
 from oracles import (
@@ -317,8 +317,7 @@ class TestCdStats:
             build_graph(sid, res.corpus.sentences[sid], list(res.alignments.values()))
             for sid in sorted(res.corpus.sentences)
         ]
-        config = FeatureConfig(lpc_seed=0)
-        partitions = {g.sentence_id: partition(g, "lpc", config) for g in graphs}
+        partitions = {g.sentence_id: partition(g, "lpc", 0) for g in graphs}
         counts = [
             len(connected_components(refine_edges(g, partitions[g.sentence_id])))
             for g in graphs
@@ -328,7 +327,7 @@ class TestCdStats:
 
     def test_trivial_two_components(self):
         g = arbitrary_graph(4, [(0, 1), (2, 3)])
-        stats = cd_stats([g], {g.sentence_id: partition(g, "gmc", FeatureConfig())})
+        stats = cd_stats([g], {g.sentence_id: partition(g, "gmc", 0)})
         assert stats.mean_components == 2.0
         assert stats.edge_removal_fraction == 0.0
 
@@ -342,7 +341,6 @@ class TestCdStats:
             build_graph(sid, res.corpus.sentences[sid], list(res.alignments.values()))
             for sid in sorted(res.corpus.sentences)
         ]
-        config = FeatureConfig(lpc_seed=0)
-        stats = cd_stats(graphs, {g.sentence_id: partition(g, "lpc", config) for g in graphs})
+        stats = cd_stats(graphs, {g.sentence_id: partition(g, "lpc", 0) for g in graphs})
         assert stats.mean_components == pytest.approx(6.0, rel=0.01)
         assert stats.mean_sentence_length == pytest.approx(6.0)

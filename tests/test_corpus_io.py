@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -15,7 +16,7 @@ from mpalign.corpus import (
     write_gold,
     write_pharaoh,
 )
-from mpalign.features import FeatureConfig, FeatureStandardizer
+from mpalign.features import FeatureStandardizer
 from mpalign.gnn import TrainConfig, init_params
 
 
@@ -53,6 +54,16 @@ class TestLoadCorpus:
             "fra": write(tmp_path, "fra.txt", "v1\tx\n"),
         }
         with pytest.raises(CorpusFormatError, match="no tokens"):
+            load_corpus(paths)
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+    def test_file_without_sentences_rejected(self, tmp_path, text):
+        paths = {
+            "eng": write(tmp_path, "eng.txt", "v1\ta\n"),
+            "fra": write(tmp_path, "fra.txt", "v1\tx\n"),
+            "deu": write(tmp_path, "deu.txt", text),
+        }
+        with pytest.raises(CorpusFormatError, match=f"^{paths['deu']}: no sentence$"):
             load_corpus(paths)
 
     def test_duplicate_id_rejected(self, tmp_path):
@@ -252,8 +263,8 @@ class TestPosTagged:
         assert load_pos_tagged(path)["v1"] == [("a/b", "X")]
 
 class TestCheckpoint:
-    def make(self, tmp_path, seed=0, **feature):
-        cfg = TrainConfig(hidden=16, seed=seed, feature=FeatureConfig(**feature))
+    def make(self, tmp_path, seed=0, ablate=()):
+        cfg = TrainConfig(hidden=16, seed=seed, ablate=ablate)
         rng = np.random.default_rng(seed)
         params = init_params(cfg, n_languages=3, vocab_size=11, rng=rng)
         std = FeatureStandardizer(np.arange(5.0), np.ones(5))
@@ -292,17 +303,30 @@ class TestCheckpoint:
     def test_old_version_refused(self, tmp_path):
         path, *_ = self.make(tmp_path)
         data = bytearray(path.read_bytes())
-        for old in (1, 2, 3):
+        for old in (1, 2, 3, 4):
             data[4:8] = struct.pack("<I", old)
             path.write_bytes(bytes(data))
-            with pytest.raises(CheckpointError, match=f"unsupported version {old}"):
+            with pytest.raises(
+                CheckpointError,
+                match=rf"unsupported version {old} \(this mpalign reads version 5\); "
+                "retrain the model",
+            ):
                 load_checkpoint(path)
 
     def test_featurization_round_trip(self, tmp_path):
-        path, *_, cfg = self.make(tmp_path, gamma=1.5, lpc_seed=13, lpc_portion=0.7,
-                                  lpc_max_iters=50)
+        """The seed (also the base of the LPC seeds) and the ablated blocks,
+        all that featurizing and encoding read, are stored once, flat."""
+        path, *_, cfg = self.make(tmp_path, seed=13, ablate=("word", "position"))
         cfg2 = load_checkpoint(path)[4]
-        assert cfg2.feature == cfg.feature
+        assert cfg2 == cfg
+        assert (cfg2.seed, cfg2.ablate) == (13, ("word", "position"))
+        data = path.read_bytes()
+        (meta_len,) = struct.unpack("<Q", data[8:16])
+        stored = json.loads(data[16 : 16 + meta_len])["train_config"]
+        assert stored == {
+            "hidden": 16, "lr": 1e-3, "batch_size": 400, "epochs": 1,
+            "train_sample": 6400, "seed": 13, "ablate": ["word", "position"],
+        }
 
     def test_truncated(self, tmp_path):
         path, *_ = self.make(tmp_path)
@@ -314,7 +338,7 @@ class TestCheckpoint:
     def test_dimension_mismatch(self, tmp_path):
         path, params, std, vocab, cfg = self.make(tmp_path)
         # resave with an inconsistent hidden width in the config
-        bad_cfg = TrainConfig(hidden=32, seed=0, feature=cfg.feature)
+        bad_cfg = TrainConfig(hidden=32, seed=0, ablate=cfg.ablate)
         save_checkpoint(path, params, std, ["deu", "eng", "fra"], vocab, bad_cfg)
         with pytest.raises(CheckpointError, match="dimension mismatch"):
             load_checkpoint(path)
@@ -322,5 +346,5 @@ class TestCheckpoint:
     def test_ablated_round_trip(self, tmp_path):
         path, params, *_ = self.make(tmp_path, ablate=("centrality",))
         loaded, _, _, _, cfg2 = load_checkpoint(path)
-        assert cfg2.feature.ablate == ("centrality",)
+        assert cfg2.ablate == ("centrality",)
         assert not loaded["feat.cent_w"].any()

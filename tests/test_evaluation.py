@@ -11,7 +11,7 @@ from mpalign.evaluation import (
     frequency_bins,
     score,
 )
-from mpalign.features import FeatureConfig, partition
+from mpalign.features import partition
 
 from oracles import community_links_reference, frequency_bins_reference, refinement_cases
 
@@ -153,8 +153,7 @@ class TestCommunityEval:
             build_graph(sid, res.corpus.sentences[sid], list(res.alignments.values()))
             for sid in sorted(res.corpus.sentences)
         ]
-        config = FeatureConfig(lpc_seed=0)
-        partitions = {g.sentence_id: partition(g, "lpc", config) for g in graphs}
+        partitions = {g.sentence_id: partition(g, "lpc", 0) for g in graphs}
         rep = community_alignment_eval(graphs, partitions, res.gold, res.pair)
         assert rep.f1 == pytest.approx(1.0)
 

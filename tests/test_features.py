@@ -7,13 +7,13 @@ from mpalign.features import (
     BLOCK_WIDTHS,
     POS_TABLE,
     WORD_DIM,
-    FeatureConfig,
     FeatureStandardizer,
     SentenceFeatures,
     attention_slots,
     build_word_vocab,
     centralities,
     featurize,
+    input_dim,
     train_word_embeddings,
 )
 from mpalign.graph import AlignmentGraph
@@ -110,43 +110,42 @@ def node_bundle(z_cent, gmc=0, lpc=0, pos=0, lang=0, word=0) -> SentenceFeatures
     )
 
 
-def assembled(config: FeatureConfig, sf: SentenceFeatures, n_lang=2, vocab=3, seed=0):
+def assembled(ablate: tuple[str, ...], sf: SentenceFeatures, n_lang=2, vocab=3, seed=0):
     """The rows ``gnn.assemble`` builds for *sf*, and the parameters it read:
     ``init_params``' tables, with non-zero centrality biases."""
-    cfg = gnn.TrainConfig(hidden=8, feature=config)
+    cfg = gnn.TrainConfig(hidden=8, ablate=ablate)
     params = gnn.init_params(cfg, n_lang, vocab, np.random.default_rng(seed))
     shape = params["feat.cent_b"].shape
     params["feat.cent_b"] = np.random.default_rng(seed + 1).normal(size=shape).astype(np.float32)
-    return gnn.assemble(sf, gnn.as_leaves(params), config).data, params
+    return gnn.assemble(sf, gnn.as_leaves(params), ablate).data, params
 
 
 class TestAssembly:
     def test_default_dimension_is_236(self):
-        assert FeatureConfig().input_dim == 236
-        out, _ = assembled(FeatureConfig(), node_bundle(np.zeros((3, 5))))
+        assert input_dim(()) == 236
+        out, _ = assembled((), node_bundle(np.zeros((3, 5))))
         assert out.shape == (3, 236)
 
     @pytest.mark.parametrize("block", sorted(BLOCK_WIDTHS))
     def test_each_ablation_removes_its_width(self, block):
-        config = FeatureConfig(ablate=(block,))
-        assert config.input_dim == 236 - BLOCK_WIDTHS[block]
-        out, _ = assembled(config, node_bundle(np.zeros((3, 5))))
+        assert input_dim((block,)) == 236 - BLOCK_WIDTHS[block]
+        out, _ = assembled((block,), node_bundle(np.zeros((3, 5))))
         assert out.shape == (3, 236 - BLOCK_WIDTHS[block])
 
     def test_identical_nodes_identical_vectors(self):
-        out, _ = assembled(FeatureConfig(), node_bundle(np.full((2, 5), 0.3), 4, 5, 6, 1, 2))
+        out, _ = assembled((), node_bundle(np.full((2, 5), 0.3), 4, 5, 6, 1, 2))
         np.testing.assert_array_equal(out[0], out[1])
 
     def test_unknown_word_uses_unk_row(self):
         # rows 0..2 are words, 3 is UNK
-        out, params = assembled(FeatureConfig(), node_bundle(np.zeros((1, 5)), word=3), vocab=3)
+        out, params = assembled((), node_bundle(np.zeros((1, 5)), word=3), vocab=3)
         assert params["feat.word"].shape[0] == 4
         np.testing.assert_array_equal(out[0, -BLOCK_WIDTHS["word"] :], params["feat.word"][3])
 
     def test_block_order(self):
         z = np.random.default_rng(4).normal(size=(1, 5))
         sf = node_bundle(z, gmc=3, lpc=5, pos=7, lang=1, word=2)
-        out, params = assembled(FeatureConfig(), sf)
+        out, params = assembled((), sf)
         cent = np.concatenate(
             [z[0, k] * params["feat.cent_w"][k] + params["feat.cent_b"][k] for k in range(5)]
         )
@@ -157,7 +156,7 @@ class TestAssembly:
         np.testing.assert_array_equal(out[0, 116:136], params["feat.lang"][1])
         np.testing.assert_array_equal(out[0, 136:236], params["feat.word"][2])
         np.testing.assert_allclose(
-            out, assemble_reference(sf, params, FeatureConfig()), rtol=1e-6
+            out, assemble_reference(sf, params, ()), rtol=1e-6
         )
 
 
@@ -263,8 +262,7 @@ class TestFeaturize:
             np.array([[0, 200]]),
         )
         std = FeatureStandardizer(np.zeros(5), np.ones(5))
-        config = FeatureConfig()
-        sf = featurize(g, std, {"eng": 0, "fra": 1}, {}, config)
+        sf = featurize(g, std, {"eng": 0, "fra": 1}, {}, 0)
         assert sf.z_cent.shape == (201, 5)
         assert sf.pos_idx.max() == POS_TABLE - 1  # clamped
         assert sf.word_idx.max() == 0  # everything unknown -> UNK row 0 of empty vocab
@@ -275,7 +273,7 @@ class TestFeaturize:
         g = AlignmentGraph("v1", {"eng": ["a"], "fra": ["x"]}, np.array([[0, 1]]))
         std = FeatureStandardizer(np.zeros(5), np.ones(5))
         with pytest.raises(ValueError, match="language"):
-            featurize(g, std, {"eng": 0}, {}, FeatureConfig())
+            featurize(g, std, {"eng": 0}, {}, 0)
 
 
 class TestAttentionSlots:

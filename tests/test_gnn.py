@@ -5,7 +5,6 @@ from mpalign import autodiff as ad
 from mpalign import gnn
 from mpalign.autodiff import Tensor
 from mpalign.features import (
-    FeatureConfig,
     FeatureStandardizer,
     SentenceFeatures,
     attention_slots,
@@ -41,9 +40,8 @@ def make_bundle(seed=0, n_eng=3, n_fra=3, edges=None):
     std = FeatureStandardizer.fit([centralities(g)])
     vocab = {("eng", f"e{i}"): i for i in range(n_eng)}
     vocab.update({("fra", f"f{i}"): n_eng + i for i in range(n_fra)})
-    fc = FeatureConfig(lpc_seed=seed)
-    sf = featurize(g, std, {"eng": 0, "fra": 1}, vocab, fc)
-    return sf, vocab, fc
+    sf = featurize(g, std, {"eng": 0, "fra": 1}, vocab, seed)
+    return sf, vocab
 
 
 def raw_bundle(g: AlignmentGraph, dim=7, seed=0) -> SentenceFeatures:
@@ -100,11 +98,11 @@ class TestGatLayer:
             np.testing.assert_allclose(ours, ref, atol=1e-6)
 
     def test_attention_sums_to_one(self):
-        sf, vocab, fc = make_bundle()
-        cfg = gnn.TrainConfig(hidden=16, feature=fc)
+        sf, vocab = make_bundle()
+        cfg = gnn.TrainConfig(hidden=16)
         params = gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(0))
         attn = []
-        gnn.encode(sf, gnn.as_leaves(params), fc, attn_out=attn)
+        gnn.encode(sf, gnn.as_leaves(params), (), attn_out=attn)
         for alpha in attn:
             sums = np.add.reduceat(alpha, sf.att_starts, axis=0)
             np.testing.assert_allclose(sums, 1.0, atol=1e-6)
@@ -112,31 +110,30 @@ class TestGatLayer:
 
 class TestEncode:
     def test_zero_params_zero_output(self):
-        sf, vocab, fc = make_bundle()
-        cfg = gnn.TrainConfig(hidden=8, feature=fc)
+        sf, vocab = make_bundle()
+        cfg = gnn.TrainConfig(hidden=8)
         params = gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(0))
         params = {k: np.zeros_like(v) for k, v in params.items()}
-        out = gnn.encode(sf, gnn.as_leaves(params), fc)
+        out = gnn.encode(sf, gnn.as_leaves(params), ())
         assert not out.data.any()
 
     def test_output_shape(self):
-        sf, vocab, fc = make_bundle()
-        cfg = gnn.TrainConfig(hidden=512, feature=fc)
+        sf, vocab = make_bundle()
+        cfg = gnn.TrainConfig(hidden=512)
         params = gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(0))
-        out = gnn.encode(sf, gnn.as_leaves(params), fc)
+        out = gnn.encode(sf, gnn.as_leaves(params), ())
         assert out.data.shape == (6, 512)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)
         g = random_graph(rng, 6, 0.5)
         sf = raw_bundle(g, seed=1)
-        fc = FeatureConfig()
-        cfg = gnn.TrainConfig(hidden=12, feature=fc)
+        cfg = gnn.TrainConfig(hidden=12)
         params = {
             k: v.astype(np.float64)
             for k, v in gnn.init_params(cfg, 6, 1, rng).items()
         }
-        out1 = gnn.encode(sf, gnn.as_leaves(params), fc).data
+        out1 = gnn.encode(sf, gnn.as_leaves(params), ()).data
 
         perm = rng.permutation(6)
         inv = np.argsort(perm)
@@ -154,14 +151,14 @@ class TestEncode:
             att_nbr=nbr,
             att_starts=starts,
         )
-        out2 = gnn.encode(sf2, gnn.as_leaves(params), fc).data
+        out2 = gnn.encode(sf2, gnn.as_leaves(params), ()).data
         np.testing.assert_allclose(out2, out1[inv], atol=1e-9)
 
 
 class TestDecode:
     def setup_method(self):
-        self.sf, vocab, self.fc = make_bundle()
-        cfg = gnn.TrainConfig(hidden=16, feature=self.fc)
+        self.sf, vocab = make_bundle()
+        cfg = gnn.TrainConfig(hidden=16)
         self.params = gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(1))
 
     def test_zero_hidden_gives_half(self):
@@ -218,8 +215,8 @@ class TestFactoredDecode:
     }
 
     def params(self, dtype, hidden=16):
-        _, vocab, fc = make_bundle()
-        cfg = gnn.TrainConfig(hidden=hidden, feature=fc)
+        _, vocab = make_bundle()
+        cfg = gnn.TrainConfig(hidden=hidden)
         params = gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(1))
         params["dec1.b"] = np.random.default_rng(2).normal(size=(1, hidden))
         return {k: v.astype(dtype) for k, v in params.items()}
@@ -285,8 +282,8 @@ class TestDecodeLoss:
         """Positives and negatives decoded in one pass give the loss and the
         gradients of decoding them in two calls (float64)."""
         edges = [[0, 4], [1, 5], [2, 6], [0, 5], [3, 4]]
-        sf, vocab, fc = make_bundle(n_eng=4, n_fra=3, edges=edges)
-        cfg = gnn.TrainConfig(hidden=16, feature=fc)
+        sf, vocab = make_bundle(n_eng=4, n_fra=3, edges=edges)
+        cfg = gnn.TrainConfig(hidden=16)
         params = {
             k: v.astype(np.float64)
             for k, v in gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(2)).items()
@@ -298,7 +295,7 @@ class TestDecodeLoss:
         results = []
         for decode_loss in (gnn._decode_loss, decode_loss_two_calls):
             P = gnn.as_leaves(params)
-            loss = decode_loss(gnn.encode(sf, P, fc), P, us, vs, neg_u, neg_v)
+            loss = decode_loss(gnn.encode(sf, P, ()), P, us, vs, neg_u, neg_v)
             loss.backward()
             results.append((float(loss.data), {k: t.grad for k, t in P.items()}))
         (loss, grads), (ref_loss, ref_grads) = results
@@ -497,45 +494,44 @@ class TestTraining:
         vocab = build_word_vocab(res.corpus, ids)
         table = train_word_embeddings(res.corpus, vocab, ids)
         lang_index = {lang: i for i, lang in enumerate(res.corpus.languages)}
-        fc = FeatureConfig()
         feats = [
-            featurize(graphs[s], std, lang_index, vocab, fc)
+            featurize(graphs[s], std, lang_index, vocab, 0)
             for s in ids
         ]
-        cfg = gnn.TrainConfig(hidden=48, seed=1, feature=fc)
+        cfg = gnn.TrainConfig(hidden=48, seed=1)
         result = gnn.train_model(feats, cfg, 4, len(vocab), table)
         losses = result.batch_losses
         k = max(1, len(losses) // 10)
         assert np.mean(losses[-k:]) < np.mean(losses[:k])
 
     def test_identical_seeds_identical_params(self):
-        sf, vocab, fc = make_bundle()
-        cfg = gnn.TrainConfig(hidden=16, seed=9, feature=fc, train_sample=5)
+        sf, vocab = make_bundle()
+        cfg = gnn.TrainConfig(hidden=16, seed=9, train_sample=5)
         r1 = gnn.train_model([sf], cfg, 2, len(vocab))
         r2 = gnn.train_model([sf], cfg, 2, len(vocab))
         for name in r1.params:
             assert np.array_equal(r1.params[name], r2.params[name]), name
 
     def test_subsample_cap(self):
-        sf, vocab, fc = make_bundle()
+        sf, vocab = make_bundle()
         bundles = [make_bundle(seed=i)[0] for i in range(8)]
-        cfg = gnn.TrainConfig(hidden=8, seed=0, feature=fc, train_sample=3)
+        cfg = gnn.TrainConfig(hidden=8, seed=0, train_sample=3)
         result = gnn.train_model(bundles, cfg, 2, len(vocab))
         assert len(result.sentences_used) == 3
 
     def test_empty_training_set_rejected(self):
-        sf, vocab, fc = make_bundle(edges=[])
-        cfg = gnn.TrainConfig(hidden=8, feature=fc)
+        sf, vocab = make_bundle(edges=[])
+        cfg = gnn.TrainConfig(hidden=8)
         with pytest.raises(ValueError, match="at least one graph"):
             gnn.train_model([sf], cfg, 2, len(vocab))
 
 
 class TestGradientCheck:
     def test_full_model_small_graph(self):
-        sf, vocab, fc = make_bundle()
-        cfg = gnn.TrainConfig(hidden=32, feature=fc)
+        sf, vocab = make_bundle()
+        cfg = gnn.TrainConfig(hidden=32)
         params = gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(2))
-        report = gnn.gradient_check(sf, params, fc, seed=0, sample_fraction=0.01)
+        report = gnn.gradient_check(sf, params, (), seed=0, sample_fraction=0.01)
         assert report.ok, report.worst
         assert report.max_rel_error < 1e-4
 
@@ -543,14 +539,14 @@ class TestGradientCheck:
     def test_report_equals_whole_model_probes(self, seed, monkeypatch):
         """Decoder probes decode from the cached encoder output and every other
         probe encodes again; the report is the one whole-model probes give."""
-        sf, vocab, fc = make_bundle(seed=seed)
-        cfg = gnn.TrainConfig(hidden=32, feature=fc)
+        sf, vocab = make_bundle(seed=seed)
+        cfg = gnn.TrainConfig(hidden=32)
         params = gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(seed))
-        expected = gradient_check_reference(sf, params, fc, seed=seed, sample_fraction=0.05)
+        expected = gradient_check_reference(sf, params, (), seed=seed, sample_fraction=0.05)
         encodes = []
         encode = gnn.encode
         monkeypatch.setattr(gnn, "encode", lambda *a, **k: encodes.append(1) or encode(*a, **k))
-        report = gnn.gradient_check(sf, params, fc, seed=seed, sample_fraction=0.05)
+        report = gnn.gradient_check(sf, params, (), seed=seed, sample_fraction=0.05)
         assert report == expected
         assert report.ok and report.n_checked > 0
         # one encode for the analytic pass, two per probed non-decoder sample
@@ -564,8 +560,8 @@ class TestGradientCheck:
         # attention logits forced equal (a = 0): the encoder collapses to
         # fixed neighborhood averaging, so the gradients of the affine path
         # have a closed form we can derive by hand and compare exactly
-        sf, vocab, fc = make_bundle()
-        cfg = gnn.TrainConfig(hidden=16, feature=fc)
+        sf, vocab = make_bundle()
+        cfg = gnn.TrainConfig(hidden=16)
         params = {
             k: v.astype(np.float64)
             for k, v in gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(3)).items()
@@ -578,7 +574,7 @@ class TestGradientCheck:
         b = len(us)
 
         # independent numpy forward with uniform attention
-        x = assemble_reference(sf, params, fc)
+        x = assemble_reference(sf, params, ())
         avg = np.eye(g.n)
         for u, v in g.edges:
             avg[u, v] = avg[v, u] = 1.0
@@ -608,7 +604,7 @@ class TestGradientCheck:
 
         # engine gradients for a positives-only batch
         loss, P = gnn._forward_loss(
-            sf, params, fc, us, vs, np.empty(0, np.int64), np.empty(0, np.int64)
+            sf, params, (), us, vs, np.empty(0, np.int64), np.empty(0, np.int64)
         )
         loss.backward()
         for name, ref in [
@@ -621,8 +617,8 @@ class TestGradientCheck:
             assert np.max(np.abs(got - ref) / denom) < 1e-8, name
 
     def test_corrupted_gradient_detected(self):
-        sf, vocab, fc = make_bundle()
-        cfg = gnn.TrainConfig(hidden=16, feature=fc)
+        sf, vocab = make_bundle()
+        cfg = gnn.TrainConfig(hidden=16)
         params = {
             k: v.astype(np.float64)
             for k, v in gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(4)).items()
@@ -630,14 +626,14 @@ class TestGradientCheck:
         us, vs = sf.graph.edges[:, 0], sf.graph.edges[:, 1]
         rng = np.random.default_rng(0)
         neg_u, neg_v = gnn.sample_negatives(sf, us, vs, rng)
-        loss, P = gnn._forward_loss(sf, params, fc, us, vs, neg_u, neg_v)
+        loss, P = gnn._forward_loss(sf, params, (), us, vs, neg_u, neg_v)
         loss.backward()
         analytic = {k: t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
                     for k, t in P.items()}
         analytic["dec2.W"] += 1.0  # corruption
 
         def forward(name):
-            val, _ = gnn._forward_loss(sf, params, fc, us, vs, neg_u, neg_v)
+            val, _ = gnn._forward_loss(sf, params, (), us, vs, neg_u, neg_v)
             return float(val.data)
 
         report = gnn.compare_grads(forward, params, analytic, rng, sample_fraction=0.05)

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mpalign import gnn
-from mpalign.features import FeatureConfig, FeatureStandardizer, centralities, featurize
+from mpalign.features import FeatureStandardizer, centralities, featurize
 from mpalign.graph import AlignmentGraph
 from mpalign.inference import (
     gdfa,
@@ -22,29 +22,29 @@ link_sets = st.sets(st.tuples(st.integers(0, 5), st.integers(0, 7)), max_size=10
 
 class TestScoreMatrix:
     def setup_method(self):
-        self.sf, vocab, self.fc = make_bundle(n_eng=3, n_fra=4,
-                                              edges=[[0, 3], [1, 4], [2, 5], [2, 6]])
-        cfg = gnn.TrainConfig(hidden=16, feature=self.fc)
+        self.sf, vocab = make_bundle(n_eng=3, n_fra=4,
+                                     edges=[[0, 3], [1, 4], [2, 5], [2, 6]])
+        cfg = gnn.TrainConfig(hidden=16)
         self.params = gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(8))
 
     def test_shape(self):
-        s = score_matrix(self.sf, self.params, "eng", "fra", self.fc)
+        s = score_matrix(self.sf, self.params, "eng", "fra", ())
         assert s.shape == (3, 4)
         assert s.dtype == np.float64
 
     def test_transpose_symmetry_exact(self):
-        s_xy = score_matrix(self.sf, self.params, "eng", "fra", self.fc)
-        s_yx = score_matrix(self.sf, self.params, "fra", "eng", self.fc)
+        s_xy = score_matrix(self.sf, self.params, "eng", "fra", ())
+        s_yx = score_matrix(self.sf, self.params, "fra", "eng", ())
         assert np.array_equal(s_xy, s_yx.T)
 
     def test_zero_model_gives_zero_logits(self):
         zero = {k: np.zeros_like(v) for k, v in self.params.items()}
-        s = score_matrix(self.sf, zero, "eng", "fra", self.fc)
+        s = score_matrix(self.sf, zero, "eng", "fra", ())
         assert not s.any()
 
     def test_missing_language_rejected(self):
         with pytest.raises(ValueError, match="deu"):
-            score_matrix(self.sf, self.params, "eng", "deu", self.fc)
+            score_matrix(self.sf, self.params, "eng", "deu", ())
 
 
 def mixed_batch(n_sentences=9, hidden=32, seed=4):
@@ -59,18 +59,17 @@ def mixed_batch(n_sentences=9, hidden=32, seed=4):
     langs = sorted(graphs[0].offsets)
     vocab = {w: i for i, w in enumerate(sorted(
         {(lang, tok) for g in graphs for lang in langs for tok in g.tokens[lang]}))}
-    fc = FeatureConfig()
     std = FeatureStandardizer.fit([centralities(g) for g in graphs])
-    feats = [featurize(g, std, {lang: i for i, lang in enumerate(langs)}, vocab, fc)
+    feats = [featurize(g, std, {lang: i for i, lang in enumerate(langs)}, vocab, 0)
              for g in graphs]
-    cfg = gnn.TrainConfig(hidden=hidden, feature=fc)
+    cfg = gnn.TrainConfig(hidden=hidden)
     params = gnn.init_params(cfg, len(langs), len(vocab), rng)
-    return feats, params, fc
+    return feats, params
 
 
 class TestScoreMatrices:
     def setup_method(self):
-        self.feats, self.params, self.fc = mixed_batch()
+        self.feats, self.params = mixed_batch()
 
     def test_batch_has_mixed_lengths(self):
         lengths = [(sf.graph.offsets["l00"][1], sf.graph.offsets["l01"][1])
@@ -80,10 +79,10 @@ class TestScoreMatrices:
 
     @pytest.mark.parametrize("pair", [("l00", "l01"), ("l02", "l00")])
     def test_each_sentence_as_scored_alone(self, pair):
-        batch = score_matrices(self.feats, self.params, *pair, self.fc)
+        batch = score_matrices(self.feats, self.params, *pair, ())
         assert len(batch) == len(self.feats)
         for sf, s in zip(self.feats, batch):
-            alone = score_matrix(sf, self.params, *pair, self.fc)
+            alone = score_matrix(sf, self.params, *pair, ())
             assert s.shape == alone.shape
             np.testing.assert_allclose(s, alone, rtol=1e-6)
             assert threshold_gdfa(s, 2.0) == threshold_gdfa(alone, 2.0)
@@ -91,8 +90,8 @@ class TestScoreMatrices:
     def test_transpose_symmetry(self):
         # float32 rounding of the last decoder product depends on a pair's
         # position among the pairs, so for some shapes this is not exact
-        xy = score_matrices(self.feats, self.params, "l00", "l01", self.fc)
-        yx = score_matrices(self.feats, self.params, "l01", "l00", self.fc)
+        xy = score_matrices(self.feats, self.params, "l00", "l01", ())
+        yx = score_matrices(self.feats, self.params, "l01", "l00", ())
         for a, b in zip(xy, yx):
             np.testing.assert_allclose(a, b.T, rtol=1e-6)
 
@@ -110,7 +109,7 @@ class TestScoreMatrices:
 
         monkeypatch.setattr(gnn, "encode", counting_encode)
         monkeypatch.setattr(gnn, "project", counting_project)
-        score_matrices(self.feats, self.params, "l00", "l01", self.fc)
+        score_matrices(self.feats, self.params, "l00", "l01", ())
         assert calls["encode"] == len(self.feats)
         m = sum(sf.graph.offsets["l00"][1] for sf in self.feats)
         l = sum(sf.graph.offsets["l01"][1] for sf in self.feats)
@@ -119,12 +118,12 @@ class TestScoreMatrices:
         )
 
     def test_no_sentences(self):
-        assert score_matrices([], self.params, "l00", "l01", self.fc) == []
+        assert score_matrices([], self.params, "l00", "l01", ()) == []
 
     def test_missing_language_rejected_before_encoding(self, monkeypatch):
         monkeypatch.setattr(gnn, "encode", None)
         with pytest.raises(ValueError, match="l07"):
-            score_matrices(self.feats, self.params, "l00", "l07", self.fc)
+            score_matrices(self.feats, self.params, "l00", "l07", ())
 
 
 class TestThreshold:
@@ -229,31 +228,31 @@ class TestTgdfa:
             assert out == {(i, int(j)) for i, j in enumerate(perm)}
 
     def test_tgdfa_runs_end_to_end(self):
-        sf, vocab, fc = make_bundle()
-        cfg = gnn.TrainConfig(hidden=16, feature=fc)
+        sf, vocab = make_bundle()
+        cfg = gnn.TrainConfig(hidden=16)
         params = gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(0))
-        links = threshold_gdfa(score_matrix(sf, params, "eng", "fra", fc), 1.0)
+        links = threshold_gdfa(score_matrix(sf, params, "eng", "fra", ()), 1.0)
         for i, j in links:
             assert 0 <= i < 3 and 0 <= j < 3
 
     def test_plus_orig_with_empty_directional_sets(self):
         # untrained symmetric-ish model with alpha too high for any link:
         # final-and walks the original links in scan order
-        sf, vocab, fc = make_bundle()
-        cfg = gnn.TrainConfig(hidden=16, feature=fc)
+        sf, vocab = make_bundle()
+        cfg = gnn.TrainConfig(hidden=16)
         params = {k: np.zeros_like(v) for k, v in
                   gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(0)).items()}
         orig = {(0, 0), (0, 1), (1, 1), (2, 2)}
-        s = score_matrix(sf, params, "eng", "fra", fc)
+        s = score_matrix(sf, params, "eng", "fra", ())
         links = threshold_gdfa(s, 2.0, orig_gdfa=orig)
         # zero model scores are uniform -> no forward/backward links survive
         assert links == {(0, 0), (1, 1), (2, 2)}
 
     def test_plus_orig_never_leaves_sandwich(self, rng):
-        sf, vocab, fc = make_bundle()
-        cfg = gnn.TrainConfig(hidden=16, feature=fc)
+        sf, vocab = make_bundle()
+        cfg = gnn.TrainConfig(hidden=16)
         params = gnn.init_params(cfg, 2, len(vocab), np.random.default_rng(5))
-        s = score_matrix(sf, params, "eng", "fra", fc)
+        s = score_matrix(sf, params, "eng", "fra", ())
         fwd = threshold_directional(s, 2.0)
         bwd = {(i, j) for j, i in threshold_directional(s.T, 2.0)}
         orig = {(0, 0), (2, 1)}

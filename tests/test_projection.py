@@ -27,12 +27,11 @@ class TestProject:
         assert out.tags == ("NOUN", "X")
 
     def test_tie_breaks_by_priority(self):
-        sources = [
-            src("eng", ["NOUN"], {(0, 0)}),
-            src("fra", ["VERB"], {(0, 0)}),
-        ]
-        assert project("v1", ["t"], sources, priority=["eng", "fra"]).tags == ("NOUN",)
-        assert project("v1", ["t"], sources, priority=["fra", "eng"]).tags == ("VERB",)
+        # the priority is the order of the sources
+        eng = src("eng", ["NOUN"], {(0, 0)})
+        fra = src("fra", ["VERB"], {(0, 0)})
+        assert project("v1", ["t"], [eng, fra]).tags == ("NOUN",)
+        assert project("v1", ["t"], [fra, eng]).tags == ("VERB",)
 
     def test_default_priority_is_source_order(self):
         sources = [

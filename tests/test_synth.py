@@ -3,7 +3,7 @@ import pytest
 
 from mpalign.communities import cd_stats
 from mpalign.evaluation import score
-from mpalign.features import FeatureConfig, partition
+from mpalign.features import partition
 from mpalign.graph import build_graph
 from mpalign.synth import SynthConfig, generate, write_synth
 
@@ -48,8 +48,7 @@ class TestGenerator:
         res = generate(SynthConfig(n_sentences=20, n_languages=5, vocab=40,
                                    len_min=k, len_max=k, seed=7))
         graphs = graphs_of(res)
-        config = FeatureConfig(lpc_seed=0)
-        stats = cd_stats(graphs, {g.sentence_id: partition(g, "lpc", config) for g in graphs})
+        stats = cd_stats(graphs, {g.sentence_id: partition(g, "lpc", 0) for g in graphs})
         assert stats.mean_components == pytest.approx(k, rel=0.02)
 
     def test_sentence_lengths_respect_bounds(self):
