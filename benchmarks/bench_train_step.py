@@ -6,14 +6,16 @@ the sentence shape of the end-to-end benchmark), initializes a hidden-512
 model and cycles over them with the step ``train_model`` runs: encode, one
 decoder pass over the positives and their negatives (as ``gnn._decode_loss``
 runs it), loss, backward and the AdamW update.
-As in ``train_model``, a step's tape lives until the next step's forward is
-done. Each layer is timed in each of ``REPEATS`` steps (after ``WARMUP``
-warm-up steps). The ``infer`` row then times ``REPEATS`` tape-free encodes
-back to back, as ``inference.score_matrices`` runs them, on the same
-sentences and the trained parameters.
+As in ``train_model``, a step's tape is dropped when the step ends; backward
+has already released its interior nodes. Each layer is timed in each of
+``REPEATS`` steps (after ``WARMUP`` warm-up steps). The ``infer`` row then
+times ``REPEATS`` tape-free encodes back to back, as
+``inference.score_matrices`` runs them, on the same sentences and the trained
+parameters. A last, untimed pass takes one step per sentence under
+``tracemalloc``; ``step_peak_mb`` is the largest peak of those steps.
 Prints the best and the median in ms with the spread (upper minus lower
-quartile) per layer, and the minor page faults per timed step, or one JSON
-object with ``--json``.
+quartile) per layer, the minor page faults per timed step and the step peak,
+or one JSON object with ``--json``.
 """
 
 import argparse
@@ -21,6 +23,7 @@ import json
 import os
 import resource
 import time
+import tracemalloc
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -69,8 +72,8 @@ def make_step_inputs(hidden=512, seed=0):
     return steps, config, params
 
 
-def timed_step(sf, pairs, config, params, opt) -> tuple[dict[str, float], tuple]:
-    """The layer times of one step, and the step's loss and leaves."""
+def timed_step(sf, pairs, config, params, opt) -> dict[str, float]:
+    """The layer times of one step; its tape is dropped on return."""
     us, vs, n_pos = pairs
     t0 = time.perf_counter()
     P = gnn.as_leaves(params)
@@ -87,23 +90,16 @@ def timed_step(sf, pairs, config, params, opt) -> tuple[dict[str, float], tuple]
     marks = (t0, t1, t2, t3, t4, t5)
     times = {name: b - a for name, a, b in zip(LAYERS, marks, marks[1:])}
     times["step"] = t5 - t0
-    return times, (loss, P)
+    return times
 
 
 def run_suite(hidden=512):
     steps, config, params = make_step_inputs(hidden)
     opt = gnn.AdamW(params, lr=config.lr, frozen=gnn.frozen_param_names(config.ablate))
-    # as in train_model's loop, a step's tape is freed only after the next
-    # step's forward: freeing it first lets glibc hand the heap back to the
-    # kernel and fault it in again each step (about 4,000 faults per step)
-    held = None
     for k in range(WARMUP):
-        _, held = timed_step(*steps[k % len(steps)], config, params, opt)
+        timed_step(*steps[k % len(steps)], config, params, opt)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    samples = []
-    for k in range(REPEATS):
-        times, held = timed_step(*steps[k % len(steps)], config, params, opt)
-        samples.append(times)
+    samples = [timed_step(*steps[k % len(steps)], config, params, opt) for k in range(REPEATS)]
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     frozen = {name: Tensor(arr) for name, arr in params.items()}
     for k in range(WARMUP + REPEATS):
@@ -111,6 +107,12 @@ def run_suite(hidden=512):
         gnn.encode(steps[k % len(steps)][0], frozen, config.ablate)
         if k >= WARMUP:
             samples[k - WARMUP]["infer"] = time.perf_counter() - t0
+    peaks = []
+    for sf, pairs in steps:
+        tracemalloc.start()
+        timed_step(sf, pairs, config, params, opt)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
     results = {
         "sentences": len(steps),
         "nodes": float(np.mean([sf.graph.n for sf, _ in steps])),
@@ -125,6 +127,7 @@ def run_suite(hidden=512):
         results[f"{name}_median_ms"] = float(med)
         results[f"{name}_iqr_ms"] = float(q3 - q1)
     results["minor_faults_per_step"] = faults / REPEATS
+    results["step_peak_mb"] = max(peaks) / 2**20
     results["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return results
 
@@ -149,6 +152,7 @@ def main():
             f"{results[f'{name}_median_ms']:9.2f}  {results[f'{name}_iqr_ms']:7.2f}"
         )
     print(f"  minor page faults per step {results['minor_faults_per_step']:.1f}")
+    print(f"  step peak (tracemalloc) {results['step_peak_mb']:.1f} MB")
     print(f"  peak RSS {results['peak_rss_mb']:.1f} MB")
 
 

@@ -5,6 +5,8 @@ broadcasting add/mul/sub/div, gather/slice of rows, segment sums, attention
 aggregation (``attend``, one sparse product), concat,
 ReLU/LeakyReLU/sigmoid/exp/log/clip, and full reductions. Gradients follow the
 dtype of the forward data (float32 for training, float64 for gradient checks).
+A tape is walked once: ``Tensor.backward`` releases each interior node as it
+goes, so only the leaves' gradients outlive it.
 """
 
 import numpy as np
@@ -55,6 +57,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _released(g):
+    raise RuntimeError(
+        "backward() reached a node whose tape a previous backward() released; "
+        "run the forward pass again"
+    )
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -90,7 +99,13 @@ class Tensor:
             self.grad += grad
 
     def backward(self) -> None:
-        """Reverse accumulation from this (scalar) tensor."""
+        """Reverse accumulation from this (scalar) tensor.
+
+        Each interior node is released as soon as its own backward has run:
+        its ``grad``, closure and parent links are dropped, and once the walk
+        has passed it nothing here holds it. Leaves keep ``.grad``. Walking a
+        released node again raises rather than return partial gradients.
+        """
         if self.data.size != 1:
             raise ValueError("backward() expects a scalar loss")
         topo: list[Tensor] = []
@@ -109,9 +124,13 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:  # a leaf
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _released, ()
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -340,6 +359,13 @@ def segment_sum(x: Tensor, starts: np.ndarray) -> Tensor:
     )
 
 
+# Slots per chunk of ``attend``'s weight gradient: it gathers two (chunk, h)
+# arrays, 4 MiB each at h = 512 in float32, where the whole-array gathers of one
+# 84-language sentence (143,000 slots) took 586 MB. A row dot does not depend
+# on the rows around it, so the chunked result has the same bits.
+_ATTEND_CHUNK = 2048
+
+
 def attend(alpha: Tensor, values: Tensor, nbr: np.ndarray, starts: np.ndarray) -> Tensor:
     """Attention-weighted sums: row ``c`` of the result is the sum over node
     ``c``'s slots ``k`` of ``alpha[k] * values[nbr[k]]``.
@@ -348,7 +374,8 @@ def attend(alpha: Tensor, values: Tensor, nbr: np.ndarray, starts: np.ndarray) -
     *alpha* holds one weight per slot, shape (slots, 1). The forward is one
     CSR product ``A @ values`` with ``A[c, nbr[k]] = alpha[k]``, summed in
     slot order; the backward is ``A.T @ g`` for *values* and, for *alpha*,
-    one row dot per slot, ``g[c] . values[nbr[k]]``.
+    one row dot per slot, ``g[c] . values[nbr[k]]``, taken ``_ATTEND_CHUNK``
+    slots at a time.
     """
     n = len(starts)
     indptr = np.append(starts, len(nbr))
@@ -359,9 +386,11 @@ def attend(alpha: Tensor, values: Tensor, nbr: np.ndarray, starts: np.ndarray) -
             values._accumulate(A.T @ g)
         if alpha.requires_grad:
             center = np.repeat(np.arange(n), np.diff(indptr))
-            alpha._accumulate(
-                np.einsum("ij,ij->i", g[center], values.data[nbr])[:, None]
-            )
+            dalpha = np.empty(len(nbr), dtype=g.dtype)
+            for lo in range(0, len(nbr), _ATTEND_CHUNK):
+                k = slice(lo, lo + _ATTEND_CHUNK)
+                np.einsum("ij,ij->i", g[center[k]], values.data[nbr[k]], out=dalpha[k])
+            alpha._accumulate(dalpha[:, None])
 
     return Tensor(A @ values.data, parents=(alpha, values), backward=backward)
 

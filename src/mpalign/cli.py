@@ -142,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", type=_pair, default=("src", "tgt"))
     p.add_argument("--one-based", action="store_true")
     p.add_argument("--bins", type=int, default=0, help="frequency bins to report")
-    p.add_argument("--data", help="corpus directory (needed for --bins)")
+    p.add_argument("--data", help="corpus directory: gold links are checked against "
+                   "its sentences (needed for --bins)")
     p.add_argument("--test-ids", help="file with one sentence id per line to score")
     p.add_argument("--out", help="write TSV here instead of stdout")
     p.set_defaults(func=cmd_eval)
@@ -263,15 +264,14 @@ def cmd_eval(args) -> int:
     names = args.names or [Path(p).stem for p in args.pred]
     if len(names) != len(args.pred):
         raise SystemExit("--names must match --pred")
-    gold = load_gold(args.gold, args.pair, one_based=args.one_based)
+    if args.bins and not args.data:
+        raise SystemExit("--bins requires --data for corpus frequencies")
+    corpus = pl.load_inputs(args.data, one_based=args.one_based)[0] if args.data else None
+    gold = load_gold(args.gold, args.pair, one_based=args.one_based, corpus=corpus)
     if not gold.possible:
         raise ValueError(f"{args.gold}: no gold sentence to score")
     gold = pl.gold_of(gold, pl.select_ids(args.test_ids, gold.possible))
-    corpus = None
     if args.bins:
-        if not args.data:
-            raise SystemExit("--bins requires --data for corpus frequencies")
-        corpus, _ = pl.load_inputs(args.data, one_based=args.one_based)
         missing = [sid for sid in gold.possible if sid not in corpus.sentences]
         if missing:
             raise ValueError(

@@ -117,7 +117,10 @@ def load_corpus(paths: Mapping[str, str | Path]) -> MultiParallelCorpus:
     return MultiParallelCorpus(sorted(per_lang), sentences)
 
 
-def _parse_index_pair(item: str, sep: str, path, line_no: int, one_based: bool):
+def _parse_index_pair(
+    item: str, sep: str, path, line_no: int, one_based: bool,
+    lengths: tuple[int, int] | None = None,
+):
     left, _, right = item.partition(sep)
     try:
         i, j = int(left), int(right)
@@ -127,18 +130,49 @@ def _parse_index_pair(item: str, sep: str, path, line_no: int, one_based: bool):
         i, j = i - 1, j - 1
     if i < 0 or j < 0:
         raise CorpusFormatError(f"{path}:{line_no}: negative index in {item!r}")
+    if lengths is not None and (i >= lengths[0] or j >= lengths[1]):
+        raise CorpusFormatError(
+            f"{path}:{line_no}: link {item!r} is outside its sentence "
+            f"(lengths {lengths[0]} and {lengths[1]})"
+        )
     return i, j
 
 
+def _sentence_lengths(
+    corpus: MultiParallelCorpus, lang_pair: tuple[str, str], sid: str, path, line_no: int
+) -> tuple[int, int]:
+    """The lengths of sentence *sid* in the two languages of *lang_pair*; a
+    sentence the corpus lacks, or holds without one of them, is refused."""
+    sentence = corpus.sentences.get(sid)
+    if sentence is None:
+        raise CorpusFormatError(f"{path}:{line_no}: sentence {sid!r} is not in the corpus")
+    for lang in lang_pair:
+        if lang not in sentence:
+            raise CorpusFormatError(f"{path}:{line_no}: sentence {sid!r} has no {lang} text")
+    return len(sentence[lang_pair[0]]), len(sentence[lang_pair[1]])
+
+
 def load_pharaoh(
-    path: str | Path, lang_pair: tuple[str, str], one_based: bool = False
+    path: str | Path,
+    lang_pair: tuple[str, str],
+    one_based: bool = False,
+    corpus: MultiParallelCorpus | None = None,
 ) -> BilingualAlignmentSet:
-    """Load Pharaoh-style ``i-j`` links. Duplicates are merged; order is irrelevant."""
+    """Load Pharaoh-style ``i-j`` links. Duplicates are merged; order is irrelevant.
+
+    With *corpus*, a line with links is refused unless the corpus holds its
+    sentence in both languages and every link lies inside it; an empty line
+    is allowed for any sentence id.
+    """
     path = Path(path)
     links: dict[str, set[tuple[int, int]]] = {}
     for line_no, sid, payload in _read_tabbed(path, bare_id_ok=True):
+        items = payload.split()
+        lengths = None
+        if corpus is not None and items:
+            lengths = _sentence_lengths(corpus, lang_pair, sid, path, line_no)
         parsed = {
-            _parse_index_pair(item, "-", path, line_no, one_based) for item in payload.split()
+            _parse_index_pair(item, "-", path, line_no, one_based, lengths) for item in items
         }
         if sid in links:
             links[sid] |= parsed
@@ -155,22 +189,32 @@ def write_pharaoh(aset: BilingualAlignmentSet, path: str | Path) -> None:
 
 
 def load_gold(
-    path: str | Path, lang_pair: tuple[str, str] = ("", ""), one_based: bool = False
+    path: str | Path,
+    lang_pair: tuple[str, str] = ("", ""),
+    one_based: bool = False,
+    corpus: MultiParallelCorpus | None = None,
 ) -> GoldAlignment:
     """Load gold links; ``i-j`` items are sure, ``i?j`` possible-only.
 
-    The possible set always includes the sure set after loading.
+    The possible set always includes the sure set after loading. With
+    *corpus*, a line's links for a sentence the corpus holds are refused
+    unless they lie inside the sentence, in both languages; sentences the
+    corpus lacks are left to the caller.
     """
     path = Path(path)
     gold = GoldAlignment(lang_pair)
     for line_no, sid, payload in _read_tabbed(path, bare_id_ok=True):
+        items = payload.split()
+        lengths = None
+        if corpus is not None and items and sid in corpus.sentences:
+            lengths = _sentence_lengths(corpus, lang_pair, sid, path, line_no)
         sure = gold.sure.setdefault(sid, set())
         poss = gold.possible.setdefault(sid, set())
-        for item in payload.split():
+        for item in items:
             if "?" in item:
-                poss.add(_parse_index_pair(item, "?", path, line_no, one_based))
+                poss.add(_parse_index_pair(item, "?", path, line_no, one_based, lengths))
             else:
-                sure.add(_parse_index_pair(item, "-", path, line_no, one_based))
+                sure.add(_parse_index_pair(item, "-", path, line_no, one_based, lengths))
         poss |= sure
     return gold
 

@@ -14,7 +14,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from . import kernels
 from .communities import Partition, detect
@@ -151,6 +150,8 @@ def train_word_embeddings(
         u, s, _ = np.linalg.svd(ppmi.toarray(), full_matrices=False)
         u, s = u[:, :k], s[:k]
     else:
+        import scipy.sparse.linalg  # on demand: only matrices past the cutoff get here
+
         v0 = np.full(min(ppmi.shape), 1.0 / math.sqrt(min(ppmi.shape)))
         u, s, _ = scipy.sparse.linalg.svds(ppmi, k=k, v0=v0)
         order = np.argsort(s)[::-1]

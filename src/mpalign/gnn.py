@@ -504,6 +504,7 @@ def train_model(
                 loss.backward()
                 opt.step({name: t.grad for name, t in P.items()})
                 losses.append(float(loss.data))
+                del loss, P  # one tape alive at a time: drop it before the next forward
     return TrainResult(
         params=params,
         batch_losses=losses,

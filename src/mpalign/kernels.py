@@ -15,7 +15,6 @@ Memory grows with ``SOURCE_BLOCK * n``, not with n².
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 # Nodes handled by one block of array operations (BFS sources, or rows of the
 # label counts). Working memory is a few (n, SOURCE_BLOCK) arrays; on an
@@ -41,6 +40,8 @@ def connected_component_labels(indptr, indices, n):
     """Label nodes by connected component, numbered by smallest member, and count them."""
     if n == 0:
         return np.empty(0, np.int64), 0
+    from scipy.sparse import csgraph  # on demand: no pipeline run calls this
+
     count, raw = csgraph.connected_components(
         _adjacency(indptr, indices, n), directed=False
     )

@@ -130,8 +130,10 @@ def discover_alignment_files(data_dir: str | Path) -> dict[tuple[str, str], Path
 def load_inputs(
     data_dir: str | Path, one_based: bool = False
 ) -> tuple[MultiParallelCorpus, list[BilingualAlignmentSet]]:
-    """The corpus and alignments of *data_dir*; a ``<name>.txt`` file that
-    no alignment file names as a language is refused with its path."""
+    """The corpus and alignments of *data_dir*. A ``<name>.txt`` file that
+    no alignment file names as a language is refused with its path; an
+    alignment line whose links do not lie in a corpus sentence that holds
+    both of the file's languages, with its path and line."""
     corpus_files = discover_corpus_files(data_dir)
     align_files = discover_alignment_files(data_dir)
     aligned = {lang for pair in align_files for lang in pair}
@@ -140,7 +142,8 @@ def load_inputs(
             raise ValueError(f"{path}: no <a>-<b>.align file names language {lang!r}")
     corpus = load_corpus(corpus_files)
     asets = [
-        load_pharaoh(path, pair, one_based=one_based) for pair, path in align_files.items()
+        load_pharaoh(path, pair, one_based=one_based, corpus=corpus)
+        for pair, path in align_files.items()
     ]
     return corpus, asets
 
@@ -321,7 +324,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
     train_ids = select_ids(cfg.train_ids, graphs)
     test_ids = select_ids(cfg.test_ids, graphs)
     if cfg.gold:
-        gold_all = load_gold(cfg.gold, cfg.pair, one_based=cfg.one_based)
+        gold_all = load_gold(cfg.gold, cfg.pair, one_based=cfg.one_based, corpus=corpus)
         gold = gold_of(gold_all, test_ids)
         if not gold.possible:
             raise ValueError(

@@ -291,3 +291,31 @@ def test_relu_bitwise_equals_where(dtype):
     out = ad.relu(Tensor(x)).data
     assert out.dtype == dtype
     assert out.tobytes() == np.where(x > 0, x, 0.0).astype(dtype).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attend_weight_gradient_is_chunked_and_bit_identical(dtype):
+    """50,000 slots at h = 64: the backward peaks below one (slots x h)
+    gather, and the weight gradient has the whole-array einsum's bits."""
+    import tracemalloc
+
+    rng = np.random.default_rng(9)
+    n, per_node, h = 5000, 10, 64
+    starts = np.arange(0, n * per_node, per_node)
+    nbr = rng.integers(0, n, size=n * per_node)
+    alpha = Tensor(rng.random((len(nbr), 1)).astype(dtype), requires_grad=True)
+    values = Tensor(rng.normal(size=(n, h)).astype(dtype), requires_grad=True)
+    g = rng.normal(size=(n, h)).astype(dtype)
+    out = ad.attend(alpha, values, nbr, starts)
+    gather_bytes = len(nbr) * h * np.dtype(dtype).itemsize
+
+    tracemalloc.start()
+    try:
+        out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < gather_bytes
+    center = np.repeat(np.arange(n), per_node)
+    whole = np.einsum("ij,ij->i", g[center], values.data[nbr])[:, None]
+    assert alpha.grad.dtype == dtype and alpha.grad.tobytes() == whole.tobytes()

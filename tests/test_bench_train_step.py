@@ -13,3 +13,4 @@ def test_run_suite_times_every_row():
     results = bench.run_suite(hidden=16)
     for name in bench.ROWS:
         assert math.isfinite(results[f"{name}_median_ms"]), name
+    assert 0 < results["step_peak_mb"] < results["peak_rss_mb"]

@@ -1,5 +1,11 @@
 import dataclasses
 import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -227,9 +233,6 @@ def test_a_program_change_misses_every_stage(synth_dir, tmp_path, caplog, monkey
 
 
 def test_code_digest_covers_the_sources_and_numpy_and_scipy(tmp_path, monkeypatch):
-    import shutil
-    from pathlib import Path
-
     import numpy
     import scipy
 
@@ -526,8 +529,6 @@ def test_bad_ablation_fails_before_any_stage(tmp_path):
 
 
 def test_same_language_alignment_file_rejected(synth_dir, tmp_path, capsys):
-    import shutil
-
     data = tmp_path / "data"
     shutil.copytree(synth_dir, data)
     (data / "l00-l00.align").write_text("v00000\t0-0 0-1\n")
@@ -538,8 +539,6 @@ def test_same_language_alignment_file_rejected(synth_dir, tmp_path, capsys):
 
 
 def test_one_pair_in_two_alignment_files_is_refused(synth_dir, tmp_path, capsys):
-    import shutil
-
     data = tmp_path / "data"
     shutil.copytree(synth_dir, data)
     (data / "l01-l00.align").write_text("v00000\t0-0\n")
@@ -550,6 +549,90 @@ def test_one_pair_in_two_alignment_files_is_refused(synth_dir, tmp_path, capsys)
         "both align l01 with l00" in capsys.readouterr().err
     )
     assert not (run / "model.mpwa").exists()
+
+
+def edited_copy(synth_dir, tmp_path, name, edit) -> tuple[Path, Path]:
+    """A copy of the synth corpus whose file *name* is rewritten by *edit*."""
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    path = data / name
+    path.write_text(edit(path.read_text()))
+    return data, path
+
+
+def test_pipeline_refuses_an_align_line_for_a_sentence_the_corpus_lacks(
+    synth_dir, tmp_path, capsys
+):
+    data, path = edited_copy(
+        synth_dir, tmp_path, "l00-l01.align", lambda text: text.replace("v00000\t", "zzz\t", 1)
+    )
+    run = tmp_path / "run"
+    assert run_pipeline(data, run) == 1
+    assert f"{path}:1: sentence 'zzz' is not in the corpus" in capsys.readouterr().err
+    assert not (run / "model.mpwa").exists()
+
+
+def test_inputs_refuse_links_into_a_missing_language_but_not_an_empty_line(
+    synth_dir, tmp_path
+):
+    # v00000 keeps its l00 and l01 text, so it stays in the corpus without l02
+    data, _ = edited_copy(synth_dir, tmp_path, "l02.txt", lambda text: text.split("\n", 1)[1])
+    message = f"{data / 'l00-l02.align'}:1: sentence 'v00000' has no l02 text"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pl.load_inputs(data)
+    for name in ("l00-l02.align", "l01-l02.align"):
+        path = data / name
+        path.write_text(re.sub(r"^v00000\t.*$", "v00000\t", path.read_text(), count=1,
+                               flags=re.M))
+    corpus, asets = pl.load_inputs(data)
+    assert sorted(corpus.sentences["v00000"]) == ["l00", "l01"]
+    assert {a.lang_pair: bool(a.links["v00000"]) for a in asets} == {
+        ("l00", "l01"): True, ("l00", "l02"): False, ("l01", "l02"): False,
+    }
+
+
+def test_gold_link_outside_its_sentence_is_refused(synth_dir, tmp_path, capsys):
+    sid = (synth_dir / "test_ids.txt").read_text().split()[0]
+    lines = (synth_dir / "l00-l01.gold").read_text().splitlines()
+    line_no = next(k for k, line in enumerate(lines, 1) if line.startswith(f"{sid}\t"))
+    lines[line_no - 1] += " 40-40"
+    gold = tmp_path / "outside.gold"
+    gold.write_text("\n".join(lines) + "\n")
+    message = f"{gold}:{line_no}: link '40-40' is outside its sentence"
+
+    run = tmp_path / "run"
+    rc = main([
+        "pipeline", "--data", str(synth_dir), "--out", str(run), "--pair", "l00,l01",
+        "--gold", str(gold), "--train-ids", str(synth_dir / "train_ids.txt"),
+        "--test-ids", str(synth_dir / "test_ids.txt"), "--hidden", "32", "--seed", "3",
+    ])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (run / "communities_gmc.tsv").exists()  # refused before any stage
+
+    argv = ["eval", "--pred", str(synth_dir / "l00-l01.align"), "--gold", str(gold),
+            "--pair", "l00,l01"]
+    assert main([*argv, "--data", str(synth_dir)]) == 1
+    assert message in capsys.readouterr().err
+    assert main(argv) == 0  # without the corpus there is nothing to check against
+
+
+def test_cli_import_loads_no_csgraph_or_sparse_linalg():
+    """Each is imported inside the one function that uses it:
+    ``kernels.connected_component_labels``, and the sparse SVD of a
+    co-occurrence matrix past ``features.SVD_DENSE_CUTOFF``."""
+    code = (
+        "import sys, scipy.sparse; before = set(sys.modules); import mpalign.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "mpalign.cli" in loaded
+    assert [m for m in loaded if m.startswith(("scipy.sparse.csgraph", "scipy.sparse.linalg"))] == []
 
 
 @pytest.fixture(scope="module")
@@ -584,8 +667,6 @@ def test_align_refuses_pair_language_missing_from_corpus(
 def test_align_refuses_pair_language_missing_from_checkpoint(
     synth_dir, trained_model, tmp_path, capsys
 ):
-    import shutil
-
     data = tmp_path / "data"
     shutil.copytree(synth_dir, data)
     shutil.copy(data / "l02.txt", data / "l03.txt")
@@ -599,16 +680,16 @@ def test_align_refuses_pair_language_missing_from_checkpoint(
 
 
 def test_align_reports_the_sentences_it_aligned(synth_dir, trained_model, tmp_path, capsys):
-    import shutil
-
     data = tmp_path / "data"
     shutil.copytree(synth_dir, data)
     test_ids = (data / "test_ids.txt").read_text().split()
     dropped = set(test_ids[:3])
-    lines = (data / "l02.txt").read_text().splitlines(keepends=True)
-    (data / "l02.txt").write_text(
-        "".join(line for line in lines if line.split("\t")[0] not in dropped)
-    )
+    # the l02 text of three sentences goes, and with it their l02 links
+    for name in ("l02.txt", "l00-l02.align", "l01-l02.align"):
+        lines = (data / name).read_text().splitlines(keepends=True)
+        (data / name).write_text(
+            "".join(line for line in lines if line.split("\t")[0] not in dropped)
+        )
     out = tmp_path / "x.align"
     capsys.readouterr()
     assert align(data, trained_model, "l00,l02", out) == 0
@@ -812,8 +893,6 @@ def test_pipeline_refuses_gold_without_test_sentences(synth_dir, tmp_path, capsy
 
 
 def test_inputs_refuse_a_txt_file_no_alignment_names(synth_dir, tmp_path, capsys):
-    import shutil
-
     data = tmp_path / "data"
     shutil.copytree(synth_dir, data)
     stray = data / "bad_ids.txt"
@@ -887,8 +966,6 @@ FOREIGN_FLAGS = {
 
 def test_every_flag_the_readme_names_is_accepted():
     import argparse
-    import re
-    from pathlib import Path
 
     root = Path(__file__).resolve().parents[1]
     readme = (root / "README.md").read_text()

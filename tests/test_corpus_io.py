@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mpalign.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from mpalign.corpus import (
     CorpusFormatError,
+    MultiParallelCorpus,
     load_corpus,
     load_gold,
     load_pharaoh,
@@ -218,6 +219,59 @@ class TestTabbedLines:
         path = write(tmp_path, "a.txt", "v1\n")
         with pytest.raises(CorpusFormatError, match="a.txt:1: missing tab separator"):
             load_corpus({"a": path})
+
+
+# sentence v1 holds 2 ``a`` and 3 ``b`` tokens; v2 has no ``b`` text
+CORPUS = MultiParallelCorpus(
+    ["a", "b", "c"],
+    {"v1": {"a": ["x", "y"], "b": ["p", "q", "r"]}, "v2": {"a": ["x"], "c": ["z"]}},
+)
+
+
+OUTSIDE = [
+    ("v2\t0-0", "sentence 'v2' has no b text"),
+    ("v1\t0-0 2-0", r"link '2-0' is outside its sentence \(lengths 2 and 3\)"),
+    ("v1\t1-2 1-3", "link '1-3' is outside its sentence"),
+]
+
+
+class TestLinksInCorpus:
+    @pytest.mark.parametrize(
+        "line,message", [("zzz\t0-0", "sentence 'zzz' is not in the corpus"), *OUTSIDE]
+    )
+    def test_align_line_outside_the_corpus_names_its_line(self, tmp_path, line, message):
+        path = write(tmp_path, "a-b.align", f"v1\t0-0 1-2\n{line}\n")
+        with pytest.raises(CorpusFormatError, match=rf"a-b\.align:2: {message}"):
+            load_pharaoh(path, ("a", "b"), corpus=CORPUS)
+        assert "v1" in load_pharaoh(path, ("a", "b")).links  # no corpus, no check
+
+    @pytest.mark.parametrize("line,message", OUTSIDE)
+    def test_gold_line_outside_its_sentence_names_its_line(self, tmp_path, line, message):
+        path = write(tmp_path, "g.gold", f"v1\t0-0\n{line}\n")
+        with pytest.raises(CorpusFormatError, match=rf"g\.gold:2: {message}"):
+            load_gold(path, ("a", "b"), corpus=CORPUS)
+
+    def test_empty_line_for_any_sentence_allowed(self, tmp_path):
+        path = write(tmp_path, "a-b.align", "v1\t1-2\nv2\t\nzzz\n")
+        aset = load_pharaoh(path, ("a", "b"), corpus=CORPUS)
+        assert aset.links == {"v1": {(1, 2)}, "v2": set(), "zzz": set()}
+
+    def test_one_based_link_is_named_as_written(self, tmp_path):
+        path = write(tmp_path, "a-b.align", "v1\t2-3 3-1\n")
+        assert load_pharaoh(write(tmp_path, "ok.align", "v1\t2-3\n"), ("a", "b"),
+                            one_based=True, corpus=CORPUS).links["v1"] == {(1, 2)}
+        with pytest.raises(CorpusFormatError, match="a-b.align:1: link '3-1' is outside"):
+            load_pharaoh(path, ("a", "b"), one_based=True, corpus=CORPUS)
+
+    def test_gold_possible_link_is_checked(self, tmp_path):
+        path = write(tmp_path, "g.gold", "v1\t0-0 1?3\n")
+        with pytest.raises(CorpusFormatError, match="g.gold:1: link '1\\?3' is outside"):
+            load_gold(path, ("a", "b"), corpus=CORPUS)
+
+    def test_gold_sentence_the_corpus_lacks_is_kept(self, tmp_path):
+        path = write(tmp_path, "g.gold", "v1\t1-2\nzzz\t9-9\n")
+        gold = load_gold(path, ("a", "b"), corpus=CORPUS)
+        assert gold.sure == {"v1": {(1, 2)}, "zzz": {(9, 9)}}
 
 
 class TestGold:

@@ -639,3 +639,41 @@ class TestGradientCheck:
         report = gnn.compare_grads(forward, params, analytic, rng, sample_fraction=0.05)
         assert not report.ok
         assert "dec2.W" in report.failures
+
+
+def tape_of(root: Tensor) -> list[Tensor]:
+    """Every tensor reachable from *root* through parent links."""
+    seen: dict[int, Tensor] = {}
+    stack = [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return list(seen.values())
+
+
+def test_backward_releases_every_interior_node():
+    """A training step's tape: after ``backward`` no interior node holds a
+    gradient, closure or parent link; the leaves keep their gradients; and
+    neither the loss nor a node inside the tape can be walked again."""
+    sf, vocab = make_bundle()
+    params = gnn.init_params(gnn.TrainConfig(hidden=16), 2, len(vocab), np.random.default_rng(0))
+    us, vs = sf.graph.edges[:, 0], sf.graph.edges[:, 1]
+    neg_u, neg_v = gnn.sample_negatives(sf, us, vs, np.random.default_rng(1))
+    loss, P = gnn._forward_loss(sf, params, (), us, vs, neg_u, neg_v)
+    interior = [t for t in tape_of(loss) if t._backward is not None and t.requires_grad]
+    closures = [t._backward for t in interior]
+    assert len(interior) > 50
+
+    loss.backward()
+    for t, closure in zip(interior, closures):
+        assert t.grad is None and t._parents == () and t._backward is not closure
+    for name, t in P.items():
+        assert t.grad is not None and t.grad.shape == params[name].shape, name
+    with pytest.raises(RuntimeError, match="released"):
+        loss.backward()
+    hidden = next(t for t in interior if t.shape == (sf.graph.n, 16))
+    with pytest.raises(RuntimeError, match="released"):
+        ad.mean(hidden).backward()
+
