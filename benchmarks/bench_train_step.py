@@ -95,7 +95,7 @@ def timed_step(sf, pairs, config, params, opt) -> dict[str, float]:
 
 def run_suite(hidden=512):
     steps, config, params = make_step_inputs(hidden)
-    opt = gnn.AdamW(params, lr=config.lr, frozen=gnn.frozen_param_names(config.ablate))
+    opt = gnn.AdamW(params, lr=config.lr)
     for k in range(WARMUP):
         timed_step(*steps[k % len(steps)], config, params, opt)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -139,11 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", type=_csv, required=True, help="prediction file(s)")
     p.add_argument("--names", type=_csv, default=None, help="method name per file")
     p.add_argument("--gold", required=True)
-    p.add_argument("--pair", type=_pair, default=("src", "tgt"))
+    p.add_argument("--pair", type=_pair, required=True,
+                   help="source,target languages of the --pred and --gold links")
     p.add_argument("--one-based", action="store_true")
     p.add_argument("--bins", type=int, default=0, help="frequency bins to report")
-    p.add_argument("--data", help="corpus directory: gold links are checked against "
-                   "its sentences (needed for --bins)")
+    p.add_argument("--data", help="corpus directory: predicted and gold links are "
+                   "checked against its sentences (needed for --bins)")
     p.add_argument("--test-ids", help="file with one sentence id per line to score")
     p.add_argument("--out", help="write TSV here instead of stdout")
     p.set_defaults(func=cmd_eval)
@@ -281,7 +282,7 @@ def cmd_eval(args) -> int:
 
     runs = []
     for name, path in zip(names, args.pred):
-        aset = load_pharaoh(path, args.pair, one_based=args.one_based)
+        aset = load_pharaoh(path, args.pair, one_based=args.one_based, corpus=corpus)
         missing = sum(sid not in aset.links for sid in gold.possible)
         if missing:
             print(f"{path}: {missing} of {len(gold.possible)} gold sentences have no "

@@ -34,11 +34,6 @@ class MultiParallelCorpus:
     def sentence_ids(self) -> list[str]:
         return sorted(self.sentences)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiParallelCorpus):
-            return NotImplemented
-        return self.languages == other.languages and self.sentences == other.sentences
-
 
 @dataclass
 class BilingualAlignmentSet:

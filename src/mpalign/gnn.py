@@ -138,7 +138,8 @@ def init_params(
 ) -> dict[str, np.ndarray]:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases; the word table
     comes from the co-occurrence SVD when supplied. Ablated feature blocks are
-    zeroed (and later frozen by the optimizer)."""
+    zeroed; :func:`assemble` never reads them, so they get no gradient and
+    :class:`AdamW` leaves them at zero."""
     params = {}
     for name, shape in param_shapes(config, n_languages, vocab_size).items():
         if name.endswith((".b", "_b")):
@@ -338,25 +339,19 @@ class AdamW:
     same expressions in the same order as on whole arrays, so the bits are too.
     """
 
-    def __init__(
-        self,
-        params: dict[str, np.ndarray],
-        lr: float,
-        frozen: set[str] | None = None,
-    ):
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.params = params
         self.lr = float(lr)
-        self.frozen = frozen or set()
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        trainable = [p for k, p in params.items() if k not in self.frozen]
-        if len({p.dtype for p in trainable}) > 1:
-            raise ValueError("AdamW needs one dtype across the trainable parameters")
-        if not all(p.flags.c_contiguous for p in trainable):
+        arrays = list(params.values())
+        if len({p.dtype for p in arrays}) > 1:
+            raise ValueError("AdamW needs one dtype across the parameters")
+        if not all(p.flags.c_contiguous for p in arrays):
             raise ValueError("AdamW updates C-contiguous parameters only")
-        dtype = trainable[0].dtype if trainable else np.float64
-        size = min(_ADAMW_CHUNK, max((p.size for p in trainable), default=0))
+        dtype = arrays[0].dtype if arrays else np.float64
+        size = min(_ADAMW_CHUNK, max((p.size for p in arrays), default=0))
         self._a = np.empty(size, dtype=dtype)
         self._b = np.empty(size, dtype=dtype)
         self._finite = np.empty(size, dtype=bool)
@@ -372,16 +367,15 @@ class AdamW:
         return True
 
     def step(self, grads: dict[str, np.ndarray | None]) -> None:
-        """One update; a non-finite or misshapen gradient raises before anything
-        changes."""
+        """One update of the parameters that have a gradient; one without
+        (``None`` or absent) is skipped, with no decay and no moment update. A
+        non-finite or misshapen gradient raises before anything changes."""
         live = [
-            (name, p, grads.get(name))
+            (name, p, g)
             for name, p in self.params.items()
-            if name not in self.frozen
+            if (g := grads.get(name)) is not None
         ]
         for name, p, g in live:
-            if g is None:
-                continue
             if g.shape != p.shape:
                 raise ValueError(f"gradient for {name} has shape {g.shape}, not {p.shape}")
             if not self._all_finite(g):
@@ -397,7 +391,7 @@ class AdamW:
             p_flat = p.reshape(-1)
             m_flat = self.m[name].reshape(-1)
             v_flat = self.v[name].reshape(-1)
-            g_flat = np.zeros_like(p_flat) if g is None else g.reshape(-1)
+            g_flat = g.reshape(-1)
             for lo in range(0, p_flat.size, _ADAMW_CHUNK):
                 hi = lo + _ADAMW_CHUNK
                 pc, mc, vc, gc = p_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi], g_flat[lo:hi]
@@ -488,7 +482,7 @@ def train_model(
         usable = [usable[i] for i in sorted(idx)]
 
     params = init_params(config, n_languages, vocab_size, rng, word_table)
-    opt = AdamW(params, lr=config.lr, frozen=frozen_param_names(config.ablate))
+    opt = AdamW(params, lr=config.lr)
 
     losses: list[float] = []
     for epoch in range(config.epochs):
@@ -515,6 +509,13 @@ def train_model(
 # ---------------------------------------------------------------------------
 # gradient verification
 
+# Central-difference step, the relative error a sample may not reach, the
+# floor of the relative error's denominator, and the positives per check.
+GRADCHECK_H = 1e-5
+GRADCHECK_TOLERANCE = 1e-4
+GRADCHECK_DENOM_FLOOR = 1e-6
+GRADCHECK_MAX_POSITIVES = 16
+
 
 @dataclass
 class GradCheckReport:
@@ -535,24 +536,22 @@ def compare_grads(
     analytic: dict[str, np.ndarray],
     rng: np.random.Generator,
     sample_fraction: float = 0.01,
-    h: float = 1e-5,
-    tolerance: float = 1e-4,
-    denom_floor: float = 1e-6,
 ) -> GradCheckReport:
     """Central finite differences on a stratified random sample of parameters.
 
     ``forward(name)`` evaluates the loss while parameter *name* is perturbed.
 
-    The relative error uses ``max(|analytic|, |fd|, denom_floor)`` as the
-    denominator: central differences at step ``h`` on an O(1) loss carry about
-    ``1e-11`` of absolute noise in 64-bit, so components smaller than the floor
-    can only be compared on an absolute scale.
+    The relative error uses ``max(|analytic|, |fd|, GRADCHECK_DENOM_FLOOR)`` as
+    the denominator: central differences at step ``GRADCHECK_H`` on an O(1)
+    loss carry about ``1e-11`` of absolute noise in 64-bit, so components
+    smaller than the floor can only be compared on an absolute scale. A
+    parameter fails when one of its samples reaches ``GRADCHECK_TOLERANCE``.
 
     Samples whose two probe points land in different activation regions (a
-    ReLU/LeakyReLU/clip kink lies within ``h`` of the evaluation point) are
-    skipped and counted: the difference quotient does not estimate the
-    derivative there. The region test compares traced activation masks and is
-    independent of the measured values.
+    ReLU/LeakyReLU/clip kink lies within ``GRADCHECK_H`` of the evaluation
+    point) are skipped and counted: the difference quotient does not estimate
+    the derivative there. The region test compares traced activation masks
+    and is independent of the measured values.
     """
     max_rel = 0.0
     worst = None
@@ -568,24 +567,24 @@ def compare_grads(
         ana = analytic[name].reshape(-1)
         for i in idx:
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + GRADCHECK_H
             with ad.trace_masks() as masks_plus:
                 f_plus = forward(name)
-            flat[i] = orig - h
+            flat[i] = orig - GRADCHECK_H
             with ad.trace_masks() as masks_minus:
                 f_minus = forward(name)
             flat[i] = orig
             if not ad.same_masks(masks_plus, masks_minus):
                 kinked += 1
                 continue
-            fd = (f_plus - f_minus) / (2.0 * h)
+            fd = (f_plus - f_minus) / (2.0 * GRADCHECK_H)
             a = float(ana[i])
-            rel = abs(a - fd) / max(abs(a), abs(fd), denom_floor)
+            rel = abs(a - fd) / max(abs(a), abs(fd), GRADCHECK_DENOM_FLOOR)
             checked += 1
             if rel > max_rel:
                 max_rel = rel
                 worst = (name, int(i), a, fd, rel)
-            if rel >= tolerance:
+            if rel >= GRADCHECK_TOLERANCE:
                 failures.add(name)
     return GradCheckReport(max_rel, checked, kinked, worst, sorted(failures))
 
@@ -596,11 +595,10 @@ def gradient_check(
     ablate: tuple[str, ...],
     seed: int = 0,
     sample_fraction: float = 0.01,
-    h: float = 1e-5,
-    tolerance: float = 1e-4,
-    max_positives: int = 16,
 ) -> GradCheckReport:
-    """Verify analytic gradients of encoder+decoder+loss in 64-bit arithmetic.
+    """Verify analytic gradients of encoder+decoder+loss in 64-bit arithmetic,
+    on a batch of at most ``GRADCHECK_MAX_POSITIVES`` positives and their
+    negatives (see :func:`compare_grads`).
 
     A probe of a decoder parameter (``dec*``) cannot change the encoder
     output, so it decodes from the unperturbed one instead of encoding again.
@@ -610,7 +608,7 @@ def gradient_check(
     edges = sf.graph.edges
     if not len(edges):
         raise ValueError("gradient check needs a graph with edges")
-    take = min(max_positives, len(edges))
+    take = min(GRADCHECK_MAX_POSITIVES, len(edges))
     sel = rng.choice(len(edges), size=take, replace=False)
     us, vs = edges[sel, 0], edges[sel, 1]
     neg_u, neg_v = sample_negatives(sf, us, vs, rng)
@@ -629,7 +627,4 @@ def gradient_check(
         h = unperturbed if name.startswith("dec") else encode(sf, P, ablate)
         return float(_decode_loss(h, P, us, vs, neg_u, neg_v).data)
 
-    return compare_grads(
-        forward, params64, analytic, rng, sample_fraction=sample_fraction, h=h,
-        tolerance=tolerance,
-    )
+    return compare_grads(forward, params64, analytic, rng, sample_fraction=sample_fraction)

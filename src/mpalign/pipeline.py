@@ -411,6 +411,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
 
     # -- eval stage -----------------------------------------------------------
     if cfg.gold:
+        input_aset = next((a for a in asets if a.lang_pair == tuple(cfg.pair)), None)
         eval_path = out / "eval.tsv"
         eval_key = stage_key(
             {
@@ -425,7 +426,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
             "eval",
             eval_key,
             [eval_path],
-            lambda: evaluate_predictions(cfg, corpus, gold, align_path, eval_path),
+            lambda: evaluate_predictions(
+                cfg, corpus, gold, input_aset, align_path, eval_path
+            ),
         )
         artifacts["eval"] = eval_path
 
@@ -521,8 +524,8 @@ def align_with_model(
     """Align ``cfg.pair`` in the *test_ids* sentences that hold both of its
     languages, write the links to *out_path* and return how many sentences
     that was. A pair language absent from the corpus or the checkpoint is
-    refused before any sentence is featurized, as is a link of ``cfg.orig``
-    outside its sentence pair."""
+    refused before any sentence is featurized, as is a line of ``cfg.orig``
+    that :func:`load_pharaoh` refuses against *corpus*."""
     params, standardizer, languages, vocab, tc = load_checkpoint(model_path)
     for lang in cfg.pair:
         if lang not in corpus.languages or lang not in languages:
@@ -541,15 +544,9 @@ def align_with_model(
     ]
     orig = {}
     if cfg.orig:
-        orig = load_pharaoh(cfg.orig, cfg.pair, one_based=cfg.one_based).links
-        for sid in ids:
-            m, n = len(corpus.sentences[sid][la]), len(corpus.sentences[sid][lb])
-            for i, j in orig.get(sid, ()):
-                if not (i < m and j < n):
-                    raise ValueError(
-                        f"{cfg.orig}: sentence {sid}: link ({i},{j}) outside its "
-                        f"{m}x{n} sentence pair"
-                    )
+        orig = load_pharaoh(
+            cfg.orig, cfg.pair, one_based=cfg.one_based, corpus=corpus
+        ).links
     feats = [
         featurize(graphs[sid], standardizer, lang_index, vocab, tc.seed) for sid in ids
     ]
@@ -564,14 +561,13 @@ def evaluate_predictions(
     cfg: PipelineConfig,
     corpus: MultiParallelCorpus,
     gold: GoldAlignment,
+    input_aset: BilingualAlignmentSet | None,
     align_path: Path,
     eval_path: Path,
 ) -> None:
-    """Score the input alignments and *align_path* over the sentences of *gold*."""
-    sets = []
-    input_path = discover_alignment_files(cfg.data_dir).get(tuple(cfg.pair))
-    if input_path is not None:
-        sets.append(("input", load_pharaoh(input_path, cfg.pair, one_based=cfg.one_based)))
+    """Score *input_aset* (the input alignments of ``cfg.pair``, if any) and
+    *align_path* over the sentences of *gold*."""
+    sets = [("input", input_aset)] if input_aset is not None else []
     sets.append((f"gnn-{cfg.method}", load_pharaoh(align_path, cfg.pair)))
     runs = [(n, {sid: a.links.get(sid, set()) for sid in gold.possible}) for n, a in sets]
     table = evaluation.eval_table(runs, gold, corpus, cfg.pair[0], cfg.eval_bins)

@@ -530,20 +530,18 @@ def sample_negatives_reference(sf, us, vs, rng):
 
 
 def adamw_reference(params, grads, m, v, t, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
-                    weight_decay=0.01, frozen=()):
+                    weight_decay=0.01):
     """One AdamW step (Loshchilov & Hutter 2019) on whole arrays, one parameter
     at a time, updating *params*, *m* and *v* in place; returns the new step
-    count. A missing gradient counts as zero."""
+    count. A parameter without a gradient is skipped, as in PyTorch."""
     b1, b2 = betas
     t += 1
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     for name, p in params.items():
-        if name in frozen:
-            continue
         g = grads.get(name)
         if g is None:
-            g = np.zeros_like(p)
+            continue
         if weight_decay:
             p -= lr * weight_decay * p
         m[name] += (1.0 - b1) * (g - m[name])
@@ -552,15 +550,14 @@ def adamw_reference(params, grads, m, v, t, lr=1e-3, betas=(0.9, 0.999), eps=1e-
     return t
 
 
-def gradient_check_reference(sf, params, ablate, seed=0, sample_fraction=0.01, h=1e-5,
-                             tolerance=1e-4, max_positives=16):
+def gradient_check_reference(sf, params, ablate, seed=0, sample_fraction=0.01):
     """``gnn.gradient_check`` with every probe running the whole model."""
     from mpalign import gnn
 
     rng = np.random.default_rng(seed)
     params64 = {k: v.astype(np.float64) for k, v in params.items()}
     edges = sf.graph.edges
-    take = min(max_positives, len(edges))
+    take = min(gnn.GRADCHECK_MAX_POSITIVES, len(edges))
     sel = rng.choice(len(edges), size=take, replace=False)
     us, vs = edges[sel, 0], edges[sel, 1]
     neg_u, neg_v = gnn.sample_negatives(sf, us, vs, rng)
@@ -576,7 +573,7 @@ def gradient_check_reference(sf, params, ablate, seed=0, sample_fraction=0.01, h
         return float(val.data)
 
     return gnn.compare_grads(forward, params64, analytic, rng,
-                             sample_fraction=sample_fraction, h=h, tolerance=tolerance)
+                             sample_fraction=sample_fraction)
 
 
 def frequency_bins_reference(predicted, gold, corpus, source_lang, n_bins=4):

@@ -741,7 +741,7 @@ def test_align_refuses_an_orig_link_outside_its_sentence(
     ])
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"{orig}: sentence {sid}: link (40,40) outside its" in err
+    assert f"{orig}:1: link '40-40' is outside its sentence" in err
     assert featurized == []
     assert not out.exists()
 
@@ -954,6 +954,30 @@ def test_eval_bins_refuses_a_gold_sentence_the_corpus_lacks(synth_dir, tmp_path,
     assert capsys.readouterr().err == (
         f"error: {gold}: gold sentence 'zzz999' is not in the corpus under {synth_dir}\n"
     )
+
+
+def test_eval_needs_pair(synth_dir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--pred", str(synth_dir / "l00-l01.align"),
+              "--gold", str(synth_dir / "l00-l01.gold")])
+    assert exc.value.code == 2
+    assert "--pair" in capsys.readouterr().err
+
+
+def test_eval_refuses_a_predicted_link_outside_its_sentence(synth_dir, tmp_path, capsys):
+    """With --data, each --pred file is checked as the input alignments are:
+    a link the frequency bins would drop is not counted in the totals."""
+    sid = (synth_dir / "test_ids.txt").read_text().split()[0]
+    lines = (synth_dir / "l00-l01.align").read_text().splitlines()
+    line_no = next(k for k, line in enumerate(lines, 1) if line.startswith(f"{sid}\t"))
+    lines[line_no - 1] += " 40-40"
+    pred = tmp_path / "outside.align"
+    pred.write_text("\n".join(lines) + "\n")
+    argv = ["eval", "--pred", str(pred), "--gold", str(synth_dir / "l00-l01.gold"),
+            "--pair", "l00,l01"]
+    assert main([*argv, "--data", str(synth_dir), "--bins", "2"]) == 1
+    assert f"{pred}:{line_no}: link '40-40' is outside its sentence" in capsys.readouterr().err
+    assert main(argv) == 0  # without the corpus there is nothing to check against
 
 
 # flags README.md names for tools other than mpalign: pip's, and the

@@ -347,10 +347,13 @@ class TestAdamW:
             opt.step({"w": np.array([np.nan])})
 
     def test_frozen_params_untouched(self):
-        p = {"w": np.array([1.0]), "f": np.array([1.0])}
-        opt = gnn.AdamW(p, lr=1e-3, frozen={"f"})
-        opt.step({"w": np.array([1.0]), "f": np.array([1.0])})
-        assert p["f"][0] == 1.0 and p["w"][0] != 1.0
+        """A parameter without a gradient (an ablated block never reaches the
+        tape) gets no decay and no moment update."""
+        p = {"w": np.array([1.0]), "f": np.array([1.0]), "n": np.array([1.0])}
+        opt = gnn.AdamW(p, lr=1e-3)
+        opt.step({"w": np.array([1.0]), "n": None})
+        assert p["f"][0] == 1.0 and p["n"][0] == 1.0 and p["w"][0] != 1.0
+        assert opt.m["f"][0] == opt.v["f"][0] == opt.m["n"][0] == opt.v["n"][0] == 0.0
 
 
     @pytest.mark.parametrize("weight_decay", [gnn.WEIGHT_DECAY])
@@ -363,19 +366,18 @@ class TestAdamW:
         ref = {k: p.copy() for k, p in params.items()}
         m = {k: np.zeros_like(p) for k, p in params.items()}
         v = {k: np.zeros_like(p) for k, p in params.items()}
-        frozen = {"feat.pos"}
-        opt = gnn.AdamW(params, lr=0.01, frozen=frozen)
+        opt = gnn.AdamW(params, lr=0.01)
         t = 0
         for step in range(20):
-            # gradients of mixed scales; feat.lang has none on every third step
+            # gradients of mixed scales; feat.pos never has one (an ablated
+            # block), feat.lang has none on every third step
             grads = {
                 k: (rng.normal(size=s) * 10.0 ** rng.integers(-4, 2)).astype(dtype)
                 for k, s in shapes.items()
-                if not (k == "feat.lang" and step % 3 == 0)
+                if k != "feat.pos" and not (k == "feat.lang" and step % 3 == 0)
             }
             opt.step(grads)
-            t = adamw_reference(ref, grads, m, v, t, lr=0.01, weight_decay=weight_decay,
-                                frozen=frozen)
+            t = adamw_reference(ref, grads, m, v, t, lr=0.01, weight_decay=weight_decay)
         assert opt.t == t == 20
         for k in shapes:
             assert params[k].dtype == dtype
@@ -412,8 +414,6 @@ class TestAdamW:
             gnn.AdamW({"a": np.zeros(2), "b": np.zeros(2, dtype=np.float32)}, lr=1e-3)
         with pytest.raises(ValueError, match="contiguous"):
             gnn.AdamW({"a": np.zeros((4, 4))[:, ::2]}, lr=1e-3)
-        # frozen parameters are never updated, so they are not checked
-        gnn.AdamW({"a": np.zeros(2), "b": np.zeros((4, 4))[:, ::2]}, lr=1e-3, frozen={"b"})
 
 
 class TestNegativeSampling:
@@ -511,6 +511,20 @@ class TestTraining:
         r2 = gnn.train_model([sf], cfg, 2, len(vocab))
         for name in r1.params:
             assert np.array_equal(r1.params[name], r2.params[name]), name
+
+    def test_ablated_blocks_stay_zero_and_the_rest_trains(self):
+        sf, vocab = make_bundle()
+        ablate = ("community", "word")
+        cfg = gnn.TrainConfig(hidden=16, seed=2, epochs=3, ablate=ablate)
+        rng = np.random.default_rng(cfg.seed)
+        start = gnn.init_params(cfg, 2, len(vocab), rng)
+        result = gnn.train_model([sf], cfg, 2, len(vocab))
+        ablated = gnn.frozen_param_names(ablate)
+        for name, p in result.params.items():
+            if name in ablated:
+                assert not p.any(), name
+            else:
+                assert not np.array_equal(p, start[name]), name
 
     def test_subsample_cap(self):
         sf, vocab = make_bundle()

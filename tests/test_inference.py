@@ -126,6 +126,43 @@ class TestScoreMatrices:
             score_matrices(self.feats, self.params, "l00", "l07", ())
 
 
+@given(
+    shapes=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_role_swap_transposes_within_float32_rounding(shapes, seed):
+    """Swapping the pair's languages transposes each score matrix, up to the
+    rounding of the decoder's last float32 product ``z @ dec2.W + dec2.b``: the
+    two calls take the same dot products in other positions, so a cell may
+    move by twice the dot product's error bound, gamma_(h+1) * sum|z_k w_k|
+    (Higham 2002, eq. 3.5), plus the rounding of the average."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for k, (m, l) in enumerate(shapes):
+        tokens = {"l00": [f"a{i}" for i in range(m)], "l01": [f"b{j}" for j in range(l)]}
+        edges = [(i, m + j) for i in range(m) for j in range(l) if rng.random() < 0.3]
+        graphs.append(AlignmentGraph(f"s{k}", tokens, np.array(edges, np.int64).reshape(-1, 2)))
+    vocab = {w: i for i, w in enumerate(sorted(
+        {(lang, tok) for g in graphs for lang, toks in g.tokens.items() for tok in toks}))}
+    std = FeatureStandardizer.fit([centralities(g) for g in graphs])
+    feats = [featurize(g, std, {"l00": 0, "l01": 1}, vocab, seed) for g in graphs]
+    hidden = 32
+    params = gnn.init_params(gnn.TrainConfig(hidden=hidden), 2, len(vocab), rng)
+    params["dec2.b"] = rng.normal(size=(1, 1)).astype(np.float32)
+    # the same decoder on |dec2.W| and |dec2.b| scores sum|z_k w_k| + |b|
+    magnitudes = {**params, "dec2.W": np.abs(params["dec2.W"]),
+                  "dec2.b": np.abs(params["dec2.b"])}
+    eps = float(np.finfo(np.float32).eps)
+    gamma = (hidden + 1) * eps / (1 - (hidden + 1) * eps)
+
+    xy = score_matrices(feats, params, "l00", "l01", ())
+    yx = score_matrices(feats, params, "l01", "l00", ())
+    scale = score_matrices(feats, magnitudes, "l00", "l01", ())
+    for (m, l), a, b, s in zip(shapes, xy, yx, scale):
+        assert a.shape == b.T.shape == (m, l)
+        assert np.all(np.abs(a - b.T) <= 2 * gamma * s + 2 * eps * np.abs(a))
+
+
 class TestThreshold:
     def test_spec_row(self):
         s = np.array([[2.0, 0.0, 0.0, 0.0]])
