@@ -11,7 +11,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline as pl
-from .corpus import load_gold, load_pharaoh, load_pos_tagged
+from .corpus import load_corpus, load_gold, load_pharaoh, load_pos_tagged
 from .evaluation import eval_table
 from .features import WORD_DIM
 from .graph import dump_graph
@@ -184,11 +184,9 @@ def _fields(args, cls) -> dict:
 
 
 def _pipeline_config(args, out_dir: str) -> pl.PipelineConfig:
-    cfg = pl.PipelineConfig(
+    return pl.PipelineConfig(
         data_dir=args.data, out_dir=out_dir, **_fields(args, pl.PipelineConfig)
     )
-    cfg.validate()
-    return cfg
 
 
 def _load_graphs(args, id_file: str | None = None):
@@ -299,15 +297,24 @@ def cmd_eval(args) -> int:
 def cmd_project(args) -> int:
     if not (len(args.sources) == len(args.alignments) == len(args.tags)):
         raise SystemExit("--sources, --alignments and --tags must align")
-    from mpalign.corpus import load_corpus
-
     corpus = load_corpus(pl.discover_corpus_files(args.data))
     if args.target not in corpus.languages:
         raise SystemExit(f"target language {args.target!r} not in corpus")
-    tagged = {lang: load_pos_tagged(path) for lang, path in zip(args.sources, args.tags)}
+    tagged = {}
+    for lang, path in zip(args.sources, args.tags):
+        tagged[lang] = load_pos_tagged(path)
+        for sid, sent_tags in tagged[lang].items():
+            toks = corpus.sentences.get(sid, {}).get(lang)
+            if toks is not None and len(toks) != len(sent_tags):
+                raise ValueError(
+                    f"{path}: sentence {sid!r} has {len(sent_tags)} tagged tokens, "
+                    f"but {len(toks)} in the {lang} corpus"
+                )
     links = {}
     for lang, path in zip(args.sources, args.alignments):
-        aset = load_pharaoh(path, (args.target, lang), one_based=args.one_based)
+        # checked against the corpus in the file's own language order
+        order = (lang, args.target) if args.swap else (args.target, lang)
+        aset = load_pharaoh(path, order, one_based=args.one_based, corpus=corpus)
         links[lang] = aset.swapped() if args.swap else aset
 
     sentences = []

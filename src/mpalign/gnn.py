@@ -90,6 +90,8 @@ class TrainConfig:
         unknown = set(self.ablate) - set(BLOCK_WIDTHS)
         if unknown:
             raise ValueError(f"unknown ablation block(s): {sorted(unknown)}")
+        if set(self.ablate) >= set(BLOCK_WIDTHS):
+            raise ValueError(f"ablate must keep one of the blocks {', '.join(BLOCK_WIDTHS)}")
         for name in ("hidden", "batch_size", "epochs", "train_sample"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, not {getattr(self, name)}")

@@ -26,6 +26,16 @@ class TokenNode:
     word: str
 
 
+def node_offsets(tokens_by_lang: Mapping[str, Sequence[str]]) -> dict[str, tuple[int, int]]:
+    """(first node id, token count) of each language, in node-id order."""
+    offsets = {}
+    start = 0
+    for lang in sorted(tokens_by_lang):
+        offsets[lang] = (start, len(tokens_by_lang[lang]))
+        start += len(tokens_by_lang[lang])
+    return offsets
+
+
 class AlignmentGraph:
     """Immutable sentence graph with CSR adjacency for the kernels."""
 
@@ -50,22 +60,18 @@ class AlignmentGraph:
         edges: np.ndarray,
     ):
         self.sentence_id = sentence_id
-        self.languages = tuple(sorted(tokens_by_lang))
+        self.offsets = node_offsets(tokens_by_lang)
+        self.languages = tuple(self.offsets)
         self.tokens = {lang: tuple(tokens_by_lang[lang]) for lang in self.languages}
 
-        offsets = {}
         words = []
         lang_ids = []
         positions = []
-        start = 0
         for li, lang in enumerate(self.languages):
             toks = self.tokens[lang]
-            offsets[lang] = (start, len(toks))
             words.extend(toks)
             lang_ids.extend([li] * len(toks))
             positions.extend(range(len(toks)))
-            start += len(toks)
-        self.offsets = offsets
         self.words = words
         self.node_lang = np.asarray(lang_ids, dtype=np.int64)
         self.node_pos = np.asarray(positions, dtype=np.int64)
@@ -138,24 +144,16 @@ def build_graph(
     that joins a token to itself, as a set pairing a language with itself can,
     raises ``GraphBuildError``.
     """
-    lengths = {lang: len(toks) for lang, toks in tokens_by_lang.items()}
-    sorted_langs = sorted(lengths)
-    starts = {}
-    pos = 0
-    for lang in sorted_langs:
-        starts[lang] = pos
-        pos += lengths[lang]
-
+    offsets = node_offsets(tokens_by_lang)
     flat: list[int] = []  # u0, v0, u1, v1, ...; the constructor dedups and sorts
     for aset in alignment_sets:
         la, lb = aset.lang_pair
-        if la not in lengths or lb not in lengths:
+        if la not in offsets or lb not in offsets:
             continue
         links = aset.links.get(sentence_id)
         if not links:
             continue
-        start_a, start_b = starts[la], starts[lb]
-        len_a, len_b = lengths[la], lengths[lb]
+        (start_a, len_a), (start_b, len_b) = offsets[la], offsets[lb]
         for i, j in links:
             if not 0 <= i < len_a or not 0 <= j < len_b:
                 raise GraphBuildError(

@@ -10,6 +10,7 @@ exceeds ``alpha / row_length``; grow-diag-final-and then symmetrizes the
 forward and backward sets.
 """
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -92,8 +93,8 @@ def _row_softmax(s: np.ndarray) -> np.ndarray:
 
 def threshold_directional(s: np.ndarray, alpha: float) -> LinkSet:
     """Per-row best cell among those whose row-softmax exceeds alpha/row_length."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, not {alpha}")
     s = np.asarray(s, dtype=np.float64)
     if s.size == 0:
         return set()

@@ -11,7 +11,8 @@ import functools
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Collection, Mapping, Sequence
 
@@ -44,13 +45,14 @@ from .inference import score_matrices, threshold_gdfa
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class PipelineConfig:
-    """Every setting of a run. Model settings mirror :class:`TrainConfig` and
-    take their defaults from it; ``seed`` seeds training and is the base of
-    the LPC seeds. ``alpha`` sets the row-softmax bar over the decoder logits;
-    ``orig`` names bilingual links that join the GDFA union (method
-    tgdfa+orig)."""
+@dataclass(frozen=True, kw_only=True)
+class PipelineConfig(TrainConfig):
+    """Every setting of a run: the model and training settings of
+    :class:`TrainConfig`, whose ``seed`` is also the base of the LPC seeds,
+    and the run's own. ``alpha`` sets the row-softmax bar over the decoder
+    logits; ``orig`` names bilingual links that join the GDFA union (method
+    tgdfa+orig). A config that exists can run: a setting that cannot is
+    refused when the config is built."""
 
     data_dir: str
     out_dir: str
@@ -60,22 +62,13 @@ class PipelineConfig:
     train_ids: str | None = None
     test_ids: str | None = None
     one_based: bool = False
-    # hyperparameters
     alpha: float = 2.0
-    lr: float = TrainConfig.lr
-    batch_size: int = TrainConfig.batch_size
-    epochs: int = TrainConfig.epochs
-    train_sample: int = TrainConfig.train_sample
-    seed: int = TrainConfig.seed
-    hidden: int = TrainConfig.hidden
-    ablate: tuple[str, ...] = TrainConfig.ablate
     eval_bins: int = 0
 
-    def validate(self) -> None:
-        # raises on an unknown ablation block or a setting that cannot train
-        self.train_config()
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+    def __post_init__(self):
+        super().__post_init__()
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be positive and finite, not {self.alpha}")
         if self.pair is not None and (len(self.pair) != 2 or self.pair[0] == self.pair[1]):
             raise ValueError("pair must name two distinct languages")
 
@@ -84,15 +77,7 @@ class PipelineConfig:
         return "tgdfa+orig" if self.orig else "tgdfa"
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            hidden=self.hidden,
-            lr=self.lr,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            train_sample=self.train_sample,
-            seed=self.seed,
-            ablate=tuple(self.ablate),
-        )
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +278,9 @@ def write_communities_tsv(
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
-    cfg.validate()
     if cfg.pair is None:
         raise ValueError("the pipeline needs a language pair to align")
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, Path] = {}
 
     input_hashes = {
@@ -333,6 +316,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
             )
 
     # -- communities stage (artifacts are diagnostics; features recompute) --
+    out.mkdir(parents=True, exist_ok=True)
     comm_key = stage_key({**base, "stage": "communities"})
     comm_paths = [out / "communities_gmc.tsv", out / "communities_lpc.tsv"]
 

@@ -1,4 +1,5 @@
-"""The names the benchmark under ``perfbench/`` looks up in mpalign all resolve.
+"""The names the benchmark under ``perfbench/`` looks up in mpalign all
+resolve, and the settings it runs with build their configs.
 
 ``python3 -m pytest perfbench`` catches a deleted or renamed name too, but
 it lies outside this suite's test paths; these checks keep the benchmark's
@@ -17,15 +18,22 @@ import mpalign
 from mpalign import features, pipeline
 
 
-def load_tracing():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    """perfbench's module *name*, with perfbench's directory on ``sys.path``
+    while it loads, as ``perfbench/run.py`` has it for its own imports."""
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        spec.loader.exec_module(module)
     return module
 
 
-TRACED = load_tracing().TRACED
+TRACED = load_perfbench("tracing").TRACED
 
 
 @pytest.mark.parametrize(
@@ -69,3 +77,26 @@ def test_pipeline_config_keeps_the_fields_the_benchmark_sets():
         "seed", "epochs", "hidden", "batch_size",
     } <= names
     assert isinstance(pipeline.PipelineConfig.batch_size, int)
+
+
+workloads = load_perfbench("workloads")
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_the_benchmark_settings_build_configs(name, tmp_path, monkeypatch):
+    # a check that refused a setting the benchmark uses would fail every
+    # benchmark round; building its configs here fails this suite instead
+    spec = workloads.WORKLOADS[name]
+    bench = workloads.Bench(spec, seed=1, work=tmp_path)
+    recorded = []
+    monkeypatch.setattr(pipeline, "run_pipeline", recorded.append)
+    bench.run_pipeline(tmp_path / "pipeline")
+    [cfg] = recorded
+    assert isinstance(cfg, pipeline.PipelineConfig)
+    assert (cfg.epochs, cfg.hidden, cfg.seed) == (spec.epochs, spec.hidden, workloads.TRAIN_SEED)
+    for k in range(1, spec.align_pairs + 1):
+        # the align phase's config, as Bench.align_phase builds it
+        pipeline.PipelineConfig(
+            data_dir=str(bench.data), out_dir=str(tmp_path), pair=workloads.pair(k),
+            seed=workloads.TRAIN_SEED,
+        )

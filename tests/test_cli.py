@@ -510,6 +510,60 @@ def test_project_swap_reads_source_target_files(tmp_path):
     assert project("eng-yor.st", "fra-yor.st", "--swap") == expected
 
 
+TAGS = "v1\tthe/DET dog/NOUN runs/VERB\n"
+
+
+@pytest.mark.parametrize(
+    "align_text, tags_text, message",
+    [
+        ("v1\t0-0 7-1\n", TAGS, "t.align:1: link '7-1' is outside its sentence"),
+        ("v9\t0-0\n", TAGS, "t.align:1: sentence 'v9' is not in the corpus"),
+        ("v1\t0-0 1-1 2-2\n", "v1\tthe/DET dog/NOUN\n",
+         "eng.pos: sentence 'v1' has 2 tagged tokens, but 3 in the eng corpus"),
+    ],
+    ids=["link-outside-sentence", "unknown-sentence", "short-tag-sentence"],
+)
+def test_project_checks_its_inputs_against_the_corpus(
+    tmp_path, capsys, align_text, tags_text, message
+):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "yor.txt").write_text("v1\tt1 t2 t3\n")
+    (data / "eng.txt").write_text("v1\tthe dog runs\n")
+    (data / "eng.pos").write_text(tags_text)
+    (data / "t.align").write_text(align_text)
+    out = tmp_path / "out.conll"
+    rc = main([
+        "project", "--data", str(data), "--target", "yor",
+        "--sources", "eng", "--alignments", str(data / "t.align"),
+        "--tags", str(data / "eng.pos"), "--out", str(out),
+    ])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_project_swap_checks_the_file_in_its_own_language_order(tmp_path, capsys):
+    # a source-target link 2-0 lies inside eng (3 tokens) and yor (1 token);
+    # read in target-source order it would point past yor's one token
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "yor.txt").write_text("v1\tt1\n")
+    (data / "eng.txt").write_text("v1\tthe dog runs\n")
+    (data / "eng.pos").write_text(TAGS)
+    (data / "eng-yor.st").write_text("v1\t2-0\n")
+    out = tmp_path / "out.conll"
+    argv = [
+        "project", "--data", str(data), "--target", "yor", "--sources", "eng",
+        "--alignments", str(data / "eng-yor.st"), "--tags", str(data / "eng.pos"),
+        "--out", str(out),
+    ]
+    assert main([*argv, "--swap"]) == 0
+    assert out.read_text() == "t1\tVERB\n\n"
+    assert main(argv) == 1
+    assert "eng-yor.st:1: link '2-0' is outside its sentence" in capsys.readouterr().err
+
+
 def test_stage_error_exit_code(tmp_path):
     rc = main([
         "pipeline", "--data", str(tmp_path), "--out", str(tmp_path / "o"),
@@ -521,9 +575,9 @@ def test_stage_error_exit_code(tmp_path):
 def test_bad_ablation_fails_before_any_stage(tmp_path):
     from mpalign.pipeline import PipelineConfig, run_pipeline as run
 
-    cfg = PipelineConfig(data_dir=str(tmp_path), out_dir=str(tmp_path / "o"),
-                         pair=("a", "b"), ablate=("syntax",))
     with pytest.raises(ValueError, match=r"unknown ablation block\(s\): \['syntax'\]"):
+        cfg = PipelineConfig(data_dir=str(tmp_path), out_dir=str(tmp_path / "o"),
+                             pair=("a", "b"), ablate=("syntax",))
         run(cfg)
     assert not (tmp_path / "o").exists()
 
@@ -1016,6 +1070,8 @@ UNTRAINABLE = [
     ("--train-sample", "0", "train_sample must be at least 1, not 0"),
     ("--lr", "-1", "lr must be positive and finite, not -1.0"),
     ("--lr", "nan", "lr must be positive and finite, not nan"),
+    ("--ablate", "centrality,community,position,language,word",
+     "ablate must keep one of the blocks centrality, community, position, language, word"),
 ]
 
 
@@ -1035,6 +1091,22 @@ def test_settings_that_cannot_train_are_refused_before_any_stage(
     assert rc == 1
     assert f"error: {message}\n" == capsys.readouterr().err
     assert not run.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["align", "pipeline"])
+def test_an_alpha_that_is_not_finite_is_refused_before_any_stage(
+    synth_dir, trained_model, tmp_path, capsys, command, value
+):
+    out = tmp_path / ("x.align" if command == "align" else "run")
+    model = ["--model", str(trained_model)] if command == "align" else []
+    rc = main([
+        command, "--data", str(synth_dir), "--out", str(out), "--pair", "l00,l01",
+        "--test-ids", str(synth_dir / "test_ids.txt"), *model, "--alpha", value,
+    ])
+    assert rc == 1
+    assert f"error: alpha must be positive and finite, not {value}\n" == capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "pipeline"])

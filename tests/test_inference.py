@@ -194,6 +194,11 @@ class TestThreshold:
         with pytest.raises(ValueError):
             threshold_directional(np.zeros((2, 2)), 0.0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(ValueError, match=f"alpha must be positive and finite, not {alpha}"):
+            threshold_directional(np.eye(3) * 10.0, alpha)
+
 
 class TestGdfa:
     def test_intersection_equals_union(self):
