@@ -263,6 +263,8 @@ def cmd_eval(args) -> int:
     names = args.names or [Path(p).stem for p in args.pred]
     if len(names) != len(args.pred):
         raise SystemExit("--names must match --pred")
+    if args.bins < 0:
+        raise ValueError(f"--bins must be at least 0, not {args.bins}")
     if args.bins and not args.data:
         raise SystemExit("--bins requires --data for corpus frequencies")
     corpus = pl.load_inputs(args.data, one_based=args.one_based)[0] if args.data else None

@@ -1,10 +1,11 @@
 """End-to-end orchestration: graphs -> communities -> features -> train -> align -> eval.
 
 Each stage writes its artifacts together with a ``.key`` file holding a content
-hash of its inputs, its configuration and the program (:func:`code_digest`); a
-rerun with unchanged inputs skips the stage and reuses the artifacts
-byte-for-byte. A stage removes its key before it writes and writes the key
-last, so artifacts left by a stage that failed are never taken for a cache hit.
+hash of the input files, the program (:func:`code_digest`) and what the stage
+reads, an upstream stage through its key; a rerun with unchanged inputs skips
+the stage and reuses the artifacts byte-for-byte. A stage removes its key
+before it writes and writes the key last, so artifacts left by a stage that
+failed are never taken for a cache hit.
 """
 
 import functools
@@ -44,6 +45,9 @@ from .inference import score_matrices, threshold_gdfa
 
 logger = logging.getLogger(__name__)
 
+# the features stage's files: the standardizer, the word vocabulary and its vectors
+FEATURE_ARTIFACTS = ("standardizer.json", "word_vocab.json", "word_vectors.npy")
+
 
 @dataclass(frozen=True, kw_only=True)
 class PipelineConfig(TrainConfig):
@@ -71,6 +75,8 @@ class PipelineConfig(TrainConfig):
             raise ValueError(f"alpha must be positive and finite, not {self.alpha}")
         if self.pair is not None and (len(self.pair) != 2 or self.pair[0] == self.pair[1]):
             raise ValueError("pair must name two distinct languages")
+        if self.eval_bins < 0:
+            raise ValueError(f"eval_bins must be at least 0, not {self.eval_bins}")
 
     @property
     def method(self) -> str:
@@ -208,25 +214,6 @@ def code_digest() -> str:
     return h.hexdigest()
 
 
-def stage_key(parts: Mapping) -> str:
-    return hashlib.sha256(
-        json.dumps(parts, sort_keys=True, default=str).encode()
-    ).hexdigest()
-
-
-def _key_path(artifacts: Sequence[Path]) -> Path:
-    return artifacts[0].with_suffix(artifacts[0].suffix + ".key")
-
-
-def cache_valid(key: str, artifacts: Sequence[Path]) -> bool:
-    key_path = _key_path(artifacts)
-    return (
-        all(a.exists() for a in artifacts)
-        and key_path.exists()
-        and key_path.read_text().strip() == key
-    )
-
-
 class StageError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage!r} failed: {cause}")
@@ -235,22 +222,32 @@ class StageError(RuntimeError):
 
 
 def run_stage(
-    stage: str, key: str, artifacts: Sequence[Path], write: Callable[[], object]
-) -> None:
-    """Reuse *artifacts* when their key matches *key*, otherwise rewrite them.
+    stage: str, parts: Mapping, artifacts: Sequence[Path], write: Callable[[], object]
+) -> str:
+    """Reuse *artifacts* when the key beside them, a hash of *stage* and the
+    key *parts*, is this run's; otherwise rewrite them. Return the key.
 
     The old key is removed before *write* runs and the new one written after
     it returns; any failure is raised as a :class:`StageError`.
     """
+    key = hashlib.sha256(
+        json.dumps({**parts, "stage": stage}, sort_keys=True, default=str).encode()
+    ).hexdigest()
+    key_path = artifacts[0].with_suffix(artifacts[0].suffix + ".key")
     try:
-        if cache_valid(key, artifacts):
+        if (
+            all(a.exists() for a in artifacts)
+            and key_path.exists()
+            and key_path.read_text().strip() == key
+        ):
             logger.info("%s: cache hit", stage)
-            return
-        _key_path(artifacts).unlink(missing_ok=True)
+            return key
+        key_path.unlink(missing_ok=True)
         write()
-        _key_path(artifacts).write_text(key + "\n")
+        key_path.write_text(key + "\n")
     except Exception as exc:  # noqa: BLE001 - stage boundary
         raise StageError(stage, exc) from exc
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -278,19 +275,20 @@ def write_communities_tsv(
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
+    """Run the stages of *cfg* under ``cfg.out_dir`` and return their
+    artifacts by name; every input file is checked before the first stage."""
     if cfg.pair is None:
         raise ValueError("the pipeline needs a language pair to align")
     out = Path(cfg.out_dir)
-    artifacts: dict[str, Path] = {}
-
-    input_hashes = {
-        str(p): _hash_file(p)
-        for p in sorted(discover_corpus_files(cfg.data_dir).values())
+    data_files = [
+        *discover_corpus_files(cfg.data_dir).values(),
+        *discover_alignment_files(cfg.data_dir).values(),
+    ]
+    inputs = {
+        "inputs": {str(p): _hash_file(p) for p in data_files},
+        "one_based": cfg.one_based,
+        "code": code_digest(),
     }
-    for pair, path in discover_alignment_files(cfg.data_dir).items():
-        input_hashes[str(path)] = _hash_file(path)
-    inputs = {"inputs": input_hashes, "one_based": cfg.one_based, "code": code_digest()}
-    base = {**inputs, "seed": cfg.seed}
 
     try:
         corpus, asets = load_inputs(cfg.data_dir, one_based=cfg.one_based)
@@ -314,101 +312,83 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
                 f"{cfg.gold}: none of its {len(gold_all.possible)} gold sentences "
                 "is a test sentence"
             )
+    if cfg.orig:
+        load_pharaoh(cfg.orig, cfg.pair, one_based=cfg.one_based, corpus=corpus)
 
-    # -- communities stage (artifacts are diagnostics; features recompute) --
+    # the communities TSVs are diagnostics; featurization detects again
     out.mkdir(parents=True, exist_ok=True)
-    comm_key = stage_key({**base, "stage": "communities"})
     comm_paths = [out / "communities_gmc.tsv", out / "communities_lpc.tsv"]
 
     def write_communities():
         for algo, path in zip(("gmc", "lpc"), comm_paths):
             write_communities_tsv(graphs, algo, path, cfg.seed)
 
-    run_stage("communities", comm_key, comm_paths, write_communities)
-    artifacts["communities_gmc"] = comm_paths[0]
-    artifacts["communities_lpc"] = comm_paths[1]
+    run_stage("communities", {**inputs, "seed": cfg.seed}, comm_paths, write_communities)
 
-    # -- features stage -------------------------------------------------------
     feat_dir = out / "features"
-    # features_stage reads no setting: its key holds only what it reads
-    feat_key = stage_key({**inputs, "stage": "features", "train_ids": train_ids})
-    feat_paths = [
-        feat_dir / "standardizer.json",
-        feat_dir / "word_vocab.json",
-        feat_dir / "word_vectors.npy",
-    ]
-    run_stage(
+    feat_key = run_stage(
         "features",
-        feat_key,
-        feat_paths,
+        {**inputs, "train_ids": train_ids},
+        [feat_dir / name for name in FEATURE_ARTIFACTS],
         lambda: write_feature_artifacts(
             feat_dir, *features_stage(corpus, graphs, train_ids)
         ),
     )
-    artifacts["features"] = feat_dir
 
-    # -- train stage ---------------------------------------------------------
     model_path = out / "model.mpwa"
     log_path = out / "train_log.json"
-    train_key = stage_key(
+    train_key = run_stage(
+        "train",
         {
-            **base,
-            "stage": "train",
+            **inputs,
             "features_key": feat_key,
             "train_ids": train_ids,
             "train": asdict(cfg.train_config()),
-        }
-    )
-    run_stage(
-        "train",
-        train_key,
+        },
         [model_path, log_path],
         lambda: train_stage(
             cfg, corpus, graphs, train_ids, read_feature_artifacts(feat_dir),
             model_path, log_path,
         ),
     )
-    artifacts["model"] = model_path
-    artifacts["train_log"] = log_path
 
-    # -- align stage ----------------------------------------------------------
     pair_tag = f"{cfg.pair[0]}-{cfg.pair[1]}"
     align_path = out / f"{pair_tag}.{cfg.method.replace('+', '-')}.align"
-    align_key = stage_key(
+    align_key = run_stage(
+        "align",
         {
-            **base,
-            "stage": "align",
+            **inputs,
             "train_key": train_key,
-            "pair": list(cfg.pair),
+            "pair": cfg.pair,
             "alpha": cfg.alpha,
             "orig": _hash_file(cfg.orig) if cfg.orig else None,
             "test_ids": test_ids,
-        }
-    )
-    run_stage(
-        "align",
-        align_key,
+        },
         [align_path],
         lambda: align_with_model(model_path, graphs, corpus, test_ids, cfg, align_path),
     )
-    artifacts["alignments"] = align_path
+    artifacts = {
+        "communities_gmc": comm_paths[0],
+        "communities_lpc": comm_paths[1],
+        "features": feat_dir,
+        "model": model_path,
+        "train_log": log_path,
+        "alignments": align_path,
+    }
 
-    # -- eval stage -----------------------------------------------------------
     if cfg.gold:
-        input_aset = next((a for a in asets if a.lang_pair == tuple(cfg.pair)), None)
+        input_aset = next((a for a in asets if set(a.lang_pair) == set(cfg.pair)), None)
+        if input_aset is not None and input_aset.lang_pair != cfg.pair:
+            input_aset = input_aset.swapped()  # its file names the pair the other way round
         eval_path = out / "eval.tsv"
-        eval_key = stage_key(
-            {
-                **base,
-                "stage": "eval",
-                "align_key": align_key,
-                "gold": _hash_file(cfg.gold),
-                "bins": cfg.eval_bins,
-            }
-        )
         run_stage(
             "eval",
-            eval_key,
+            {
+                **inputs,
+                "align_key": align_key,
+                "gold": _hash_file(cfg.gold),
+                "eval_bins": cfg.eval_bins,
+            },
             [eval_path],
             lambda: evaluate_predictions(
                 cfg, corpus, gold, input_aset, align_path, eval_path
@@ -433,11 +413,9 @@ def features_stage(
 
 def write_feature_artifacts(
     out_dir: Path, standardizer: FeatureStandardizer, vocab: dict, table: np.ndarray
-) -> list[Path]:
+) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    std_path = out_dir / "standardizer.json"
-    vocab_path = out_dir / "word_vocab.json"
-    table_path = out_dir / "word_vectors.npy"
+    std_path, vocab_path, table_path = (out_dir / name for name in FEATURE_ARTIFACTS)
     std_path.write_text(
         json.dumps(
             {"mean": standardizer.mean.tolist(), "std": standardizer.std.tolist()}
@@ -448,17 +426,17 @@ def write_feature_artifacts(
         json.dumps([list(k) for k in sorted(vocab, key=vocab.get)]) + "\n"
     )
     np.save(table_path, table)
-    return [std_path, vocab_path, table_path]
 
 
 def read_feature_artifacts(out_dir: Path):
-    std = json.loads((out_dir / "standardizer.json").read_text())
+    std_path, vocab_path, table_path = (out_dir / name for name in FEATURE_ARTIFACTS)
+    std = json.loads(std_path.read_text())
     standardizer = FeatureStandardizer(
         np.asarray(std["mean"], dtype=np.float64), np.asarray(std["std"], dtype=np.float64)
     )
-    vocab_list = json.loads((out_dir / "word_vocab.json").read_text())
+    vocab_list = json.loads(vocab_path.read_text())
     vocab = {tuple(item): i for i, item in enumerate(vocab_list)}
-    table = np.load(out_dir / "word_vectors.npy")
+    table = np.load(table_path)
     return standardizer, vocab, table
 
 

@@ -100,3 +100,18 @@ def test_the_benchmark_settings_build_configs(name, tmp_path, monkeypatch):
             data_dir=str(bench.data), out_dir=str(tmp_path), pair=workloads.pair(k),
             seed=workloads.TRAIN_SEED,
         )
+
+
+def test_the_pipeline_writes_every_output_the_benchmark_compares(tmp_path):
+    # the benchmark compares these files of each cold run with the first
+    # run's; a renamed artifact would fail it on its first comparison
+    spec = workloads.Workload(
+        languages=3, n_train=9, n_test=3, vocab=20, len_min=3, len_max=6, hidden=8,
+        setup_repeats=1,
+    )
+    bench = workloads.Bench(spec, seed=1, work=tmp_path)
+    bench.setup()
+    out = tmp_path / "pipeline"
+    bench.run_pipeline(out)
+    written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert set(workloads.PIPELINE_OUTPUTS) <= written

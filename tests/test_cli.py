@@ -186,20 +186,6 @@ def test_failed_stage_leaves_no_cache_hit(
     assert snapshot() == first
 
 
-@pytest.mark.parametrize("changed", [("--seed", "7")], ids=["changed1"])
-def test_features_stage_ignores_run_settings(synth_dir, tmp_path, caplog, changed):
-    """The features stage reads only the inputs and the training ids, so a rerun
-    with another setting reuses it and redoes the stages that read the setting."""
-    out = tmp_path / "run"
-    assert run_pipeline(synth_dir, out) == 0
-    caplog.clear()
-    with caplog.at_level("INFO", logger="mpalign.pipeline"):
-        assert run_pipeline(synth_dir, out, extra=changed) == 0
-    assert "features: cache hit" in caplog.messages
-    assert "communities: cache hit" not in caplog.messages
-    assert "train: cache hit" not in caplog.messages
-
-
 STAGES = ("communities", "features", "train", "align", "eval")
 
 
@@ -209,6 +195,44 @@ def cache_hits(caplog, run) -> list[str]:
     with caplog.at_level("INFO", logger="mpalign.pipeline"):
         assert run() == 0
     return [m.split(":")[0] for m in caplog.messages if m.endswith(": cache hit")]
+
+
+# one change to a run, and the stages that miss after it: those whose key
+# holds what changed, directly or through an upstream stage's key
+CACHE_MISSES = [
+    ("changed1", ("--seed", "7"), ["communities", "train", "align", "eval"]),
+    ("epochs", ("--epochs", "2"), ["train", "align", "eval"]),
+    ("lr", ("--lr", "0.002"), ["train", "align", "eval"]),
+    ("hidden", ("--hidden", "16"), ["train", "align", "eval"]),
+    ("ablate", ("--ablate", "word"), ["train", "align", "eval"]),
+    ("batch-size", ("--batch-size", "7"), ["train", "align", "eval"]),
+    ("alpha", ("--alpha", "3"), ["align", "eval"]),
+    ("orig", ("--orig", "{data}/l00-l01.align"), ["align", "eval"]),
+    ("test-ids", ("--test-ids", "{tmp}/test_ids.txt"), ["align", "eval"]),
+    ("train-ids", ("--train-ids", "{tmp}/train_ids.txt"),
+     ["features", "train", "align", "eval"]),
+    ("eval-bins", ("--eval-bins", "2"), ["eval"]),
+    ("gold", ("--gold", "{tmp}/l00-l01.gold"), ["eval"]),
+]
+
+
+@pytest.mark.parametrize(
+    "changed, misses", [c[1:] for c in CACHE_MISSES], ids=[c[0] for c in CACHE_MISSES]
+)
+def test_features_stage_ignores_run_settings(
+    synth_dir, tmp_path, caplog, changed, misses
+):
+    """A rerun after one change redoes the stages that read what changed and
+    reuses the others; the features stage reads only the inputs and the
+    training ids. The id and gold files of a change drop their first line."""
+    for name in ("train_ids.txt", "test_ids.txt", "l00-l01.gold"):
+        lines = (synth_dir / name).read_text().splitlines(keepends=True)
+        (tmp_path / name).write_text("".join(lines[1:]))
+    out = tmp_path / "run"
+    assert run_pipeline(synth_dir, out) == 0
+    extra = [arg.format(data=synth_dir, tmp=tmp_path) for arg in changed]
+    hits = cache_hits(caplog, lambda: run_pipeline(synth_dir, out, extra=extra))
+    assert hits == [stage for stage in STAGES if stage not in misses]
 
 
 def test_an_unchanged_rerun_hits_every_stage(synth_dir, tmp_path, caplog):
@@ -444,6 +468,18 @@ def test_eval_with_bins(synth_dir, tmp_path):
     assert rc == 0
     header = (tmp_path / "eval_bins.tsv").read_text().splitlines()[0]
     assert header.endswith("f1_bin1\tf1_bin2\tf1_bin3\tf1_bin4")
+
+
+def test_eval_refuses_a_negative_bin_count(synth_dir, tmp_path, capsys):
+    out = tmp_path / "eval.tsv"
+    rc = main([
+        "eval", "--pred", str(synth_dir / "l00-l01.align"),
+        "--gold", str(synth_dir / "l00-l01.gold"), "--pair", "l00,l01",
+        "--bins", "-2", "--data", str(synth_dir), "--out", str(out),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --bins must be at least 0, not -2\n"
+    assert not out.exists()
 
 
 def test_project_command(tmp_path):
@@ -777,6 +813,24 @@ def test_orig_links_join_the_union_end_to_end(synth_dir, tmp_path):
     assert run_pipeline(synth_dir, run) == 0
     assert methods() == ["method", "input", "gnn-tgdfa"]
     assert (run / "l00-l01.tgdfa.align").read_bytes() != with_orig.read_bytes()
+
+
+def test_eval_scores_the_input_alignments_of_a_reversed_pair(synth_dir, tmp_path):
+    """`pipeline --pair l01,l00` scores the links of l00-l01.align swapped
+    against the swapped gold, and so gives the forward pair's input row."""
+    gold = tmp_path / "l01-l00.gold"
+    forward_gold = (synth_dir / "l00-l01.gold").read_text()
+    gold.write_text(re.sub(r"(\d+)([-?])(\d+)", r"\3\2\1", forward_gold))
+    forward, reverse = tmp_path / "forward", tmp_path / "reverse"
+    assert run_pipeline(synth_dir, forward) == 0
+    reversed_pair = ("--pair", "l01,l00", "--gold", str(gold))
+    assert run_pipeline(synth_dir, reverse, extra=reversed_pair) == 0
+
+    def input_row(run):
+        return (run / "eval.tsv").read_text().splitlines()[1]
+
+    assert input_row(reverse).startswith("input\t")
+    assert input_row(reverse) == input_row(forward)
 
 
 def test_align_refuses_an_orig_link_outside_its_sentence(
